@@ -27,7 +27,6 @@ import sys
 from . import __version__
 from .errors import (
     CapacityError,
-    DivergenceError,
     IncompatiblePartitionsError,
     TruncationLimitError,
 )
@@ -316,7 +315,7 @@ def main(argv=None) -> int:
     except CapacityError as e:
         print(f"capacity: {e}", file=sys.stderr)
         return 3
-    except (DivergenceError, TruncationLimitError, IncompatiblePartitionsError) as e:
+    except (ArithmeticError, TruncationLimitError, IncompatiblePartitionsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as e:

@@ -102,19 +102,6 @@ def leq(a: DyckPath, b: DyckPath) -> bool:
     return all(x <= y for x, y in zip(a.heights, b.heights))
 
 
-def remove_extremum(path: DyckPath, j: int) -> DyckPath:
-    """Delete steps j and j+1 at a local max or min, size N -> N-1.
-
-    At a MAX the heights h(j-1) and h(j+1) agree and the peak between
-    them is cut out; at a MIN likewise for the valley.  SLOPE positions
-    are rejected.
-    """
-    if local_shape(path, j) is LocalShape.SLOPE:
-        raise ValueError(f"no extremum at position {j}")
-    h = path.heights
-    return DyckPath(h[: j] + h[j + 2 :])
-
-
 def flip_min_to_max(path: DyckPath, j: int) -> DyckPath:
     """Raise a local minimum at j by 2, turning it into a local maximum."""
     if local_shape(path, j) is not LocalShape.MIN:
@@ -231,18 +218,6 @@ def pairing_from_dyck(path: DyckPath) -> PairPartition:
 def enumerate_pairings(n: int) -> tuple[PairPartition, ...]:
     """All planar pair partitions of {1..2n}, ordered as their Dyck paths."""
     return tuple(pairing_from_dyck(d) for d in enumerate_dyck_paths(n))
-
-
-def remove_link(p: PairPartition, j: int) -> PairPartition:
-    """Delete the link {j, j+1} and close the gap, relabeling k > j+1 to k-2."""
-    if (j, j + 1) not in p.links:
-        raise ValueError(f"{{{j},{j + 1}}} is not a link of the pairing")
-    out = []
-    for a, b in p.links:
-        if (a, b) == (j, j + 1):
-            continue
-        out.append((a if a < j else a - 2, b if b < j else b - 2))
-    return make_pairing(out)
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +391,3 @@ def _all_valence2_lifts(p: int):
             stack.pop()
 
     yield from scan(1)
-
-
-# ---------------------------------------------------------------------------
-# JSON-friendly serialization
-
-
-def links_to_json(obj) -> list[list[int]]:
-    """PairPartition or LinkPattern -> list of 1-based index pairs."""
-    return [list(l) for l in obj.links]
-
-
-def pairing_from_json(data) -> PairPartition:
-    return make_pairing(tuple(map(tuple, data)))
-
-
-def pattern_from_json(data) -> LinkPattern:
-    return make_pattern(tuple(map(tuple, data)))

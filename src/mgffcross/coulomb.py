@@ -20,7 +20,6 @@ stays inside the same monomial class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -47,21 +46,6 @@ def half_binomial(e2: int, k: int) -> Fraction:
     for t in range(k):
         num *= Fraction(e2 - 2 * t, 2)
     return num / math.factorial(k)
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """Single term: coeff * prod (x_b - x_a)^(e2/2) over the exponent items."""
-
-    coeff: Fraction
-    exponents: ExpKey  # sorted ((a, b), e2) with e2 != 0
-
-    def exponent(self, a: int, b: int) -> Fraction:
-        key = (a, b) if a < b else (b, a)
-        for p, e2 in self.exponents:
-            if p == key:
-                return Fraction(e2, 2)
-        return Fraction(0)
 
 
 def _canon_exponents(exps) -> ExpKey:
@@ -124,9 +108,6 @@ class MonomialCombo:
         return MonomialCombo({_canon_exponents(doubled_exponents): c})
 
     # -- inspection
-
-    def monomials(self) -> tuple[Monomial, ...]:
-        return tuple(Monomial(c, k) for k, c in sorted(self.terms.items()))
 
     def variables(self) -> tuple[int, ...]:
         vs: set[int] = set()

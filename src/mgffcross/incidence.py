@@ -12,12 +12,11 @@ two paths.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import PairPartition, dyck_from_pairing, enumerate_pairings
+from .combinat import PairPartition, enumerate_pairings
 from .errors import CapacityError
 
 MATRIX_SIZE_CAP = 2000
@@ -123,26 +122,3 @@ def inverse_row(alpha: PairPartition) -> tuple[tuple[PairPartition, int], ...]:
     return tuple(
         (beta, c) for beta, c in zip(inv.order, inv.entries[i]) if c != 0
     )
-
-
-def write_csv(m: IncidenceMatrix, path: str) -> None:
-    """Dump a matrix with pairing labels for offline inspection."""
-    labels = ["|".join(f"{a}-{b}" for a, b in p.links) for p in m.order]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([""] + labels)
-        for lab, row in zip(labels, m.entries):
-            w.writerow([lab] + list(row))
-
-
-def support_leq(inv: IncidenceMatrix) -> bool:
-    """Check the support condition: inverse entry nonzero only when
-    the row path lies below the column path pointwise."""
-    from .combinat import leq
-
-    paths = [dyck_from_pairing(p) for p in inv.order]
-    for i, pa in enumerate(paths):
-        for j, pb in enumerate(paths):
-            if inv.entries[i][j] != 0 and not leq(pa, pb):
-                return False
-    return True

@@ -2,20 +2,16 @@
 
 from .experiment import (
     MU_LAT_DEFAULT,
-    ClusterState,
     ExperimentReport,
     MeshResult,
     SimConfig,
-    extract_pattern,
     partition_mask,
-    percolate,
     run_experiment,
     sweep_mu,
     wilson_interval,
 )
 from .kernels import (
     HAS_NUMBA,
-    mask_to_partition,
     pair_bit,
     percolate_batch,
     resolve_kernel,
@@ -29,12 +25,10 @@ from .lattice import (
     edge_open_probability,
     harmonic_extension,
     laplacian_residual,
-    sample_zero_boundary_gff,
 )
 
 __all__ = [
     "MU_LAT_DEFAULT",
-    "ClusterState",
     "ExperimentReport",
     "HAS_NUMBA",
     "LatticeField",
@@ -45,17 +39,13 @@ __all__ = [
     "build_lattice",
     "dirichlet_eigenvalues",
     "edge_open_probability",
-    "extract_pattern",
     "harmonic_extension",
     "laplacian_residual",
-    "mask_to_partition",
     "pair_bit",
     "partition_mask",
-    "percolate",
     "percolate_batch",
     "resolve_kernel",
     "run_experiment",
-    "sample_zero_boundary_gff",
     "sweep_mu",
     "wilson_interval",
 ]

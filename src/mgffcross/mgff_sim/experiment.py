@@ -24,16 +24,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..combinat import LinkPattern, enumerate_link_patterns
-from ..errors import IncompatiblePartitionsError
 from ..probability import (
     RectanglePolygon,
     cluster_pattern_table,
     crossing_probability,
     rect_boundary_to_halfplane,
 )
-from .kernels import mask_to_partition, pair_bit, percolate_batch
+from .kernels import pair_bit, percolate_batch
 from .lattice import (
-    LatticeField,
     LatticeSpec,
     build_lattice,
     harmonic_extension,
@@ -61,49 +59,9 @@ class SimConfig:
     chunk: int = 512
 
 
-@dataclass(frozen=True)
-class ClusterState:
-    """Arc connectivity of one percolation trial."""
-
-    pos_mask: int
-    neg_mask: int
-    pos_blocks: tuple[tuple[int, ...], ...]
-    neg_blocks: tuple[tuple[int, ...], ...]
-
-
-def percolate(
-    field: LatticeField, rng: np.random.Generator, kernel: str | None = None
-) -> ClusterState:
-    """Open edges of one sampled field and collect arc connectivity."""
-    spec = field.spec
-    uniforms = rng.random(spec.n_edges)
-    pos, neg = percolate_batch(
-        field.values.reshape(1, -1), uniforms[None, :], spec, kernel
-    )
-    n = spec.narcs // 2
-    return ClusterState(
-        int(pos[0]),
-        int(neg[0]),
-        mask_to_partition(int(pos[0]), n),
-        mask_to_partition(int(neg[0]), n),
-    )
-
-
-def extract_pattern(state: ClusterState, n: int) -> LinkPattern:
-    """Boundary link pattern of a trial; raises IncompatiblePartitionsError
-    for lattice configurations with no planar continuum counterpart."""
-    table = cluster_pattern_table(n)
-    try:
-        return table[(state.pos_blocks, state.neg_blocks)]
-    except KeyError:
-        raise IncompatiblePartitionsError(
-            f"no planar pattern for {state.pos_blocks} / {state.neg_blocks}"
-        ) from None
-
-
 def partition_mask(blocks, n: int) -> int:
-    """Set partition -> pairwise-connectivity bitmask (inverse of
-    mask_to_partition up to transitive closure)."""
+    """Set partition -> pairwise-connectivity bitmask, the form in which
+    the percolation kernels report arc connectivity."""
     mask = 0
     for b in blocks:
         for ii, i in enumerate(b):

@@ -185,27 +185,3 @@ def percolate_batch(values, uniforms, spec, kernel: str | None = None):
         out_neg,
     )
     return out_pos, out_neg
-
-
-def mask_to_partition(mask: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Pairwise-connectivity bitmask -> canonical set partition of 1..n."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    bit = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mask >> bit & 1:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-            bit += 1
-    blocks: dict[int, list[int]] = {}
-    for x in range(n):
-        blocks.setdefault(find(x), []).append(x + 1)
-    return tuple(sorted(tuple(b) for b in blocks.values()))

@@ -186,21 +186,13 @@ def laplacian_residual(f: LatticeField) -> float:
     return float(np.max(np.abs(lap))) if lap.size else 0.0
 
 
-def sample_zero_boundary_gff(spec: LatticeSpec, rng: np.random.Generator) -> LatticeField:
-    """One sample of the zero-boundary Gaussian free field on the grid.
-
-    Covariance is the inverse Dirichlet Laplacian with unit conductance;
-    sampling is exact by scaling white noise in the DST-I eigenbasis.
-    """
-    z = rng.standard_normal(spec.interior_shape)
-    interior = _dst2(z / np.sqrt(dirichlet_eigenvalues(spec)))
-    grid = np.zeros((spec.ny + 1, spec.nx + 1))
-    grid[1:-1, 1:-1] = interior
-    return LatticeField(spec, grid)
-
-
 def interior_noise_to_field(spec: LatticeSpec, normals: np.ndarray) -> np.ndarray:
-    """Batched version: (B, ny-1, nx-1) standard normals -> interior values."""
+    """Zero-boundary Gaussian free field samples from white noise.
+
+    (B, ny-1, nx-1) standard normals -> interior values.  Covariance is
+    the inverse Dirichlet Laplacian with unit conductance; sampling is
+    exact by scaling white noise in the DST-I eigenbasis.
+    """
     return _dst2(normals / np.sqrt(dirichlet_eigenvalues(spec)))
 
 

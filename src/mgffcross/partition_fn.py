@@ -31,7 +31,6 @@ from functools import lru_cache
 
 from . import coulomb
 from .combinat import (
-    DyckPath,
     LinkPattern,
     LocalShape,
     PairPartition,
@@ -264,7 +263,7 @@ def fused_pure_partition_grouped(p: LinkPattern) -> MonomialCombo:
 
 
 # ---------------------------------------------------------------------------
-# Total partition function and reference paths
+# Total partition function and the ground-state pairing
 
 
 def z_mgff_total(npoints: int) -> MonomialCombo:
@@ -281,17 +280,6 @@ def z_mgff_total(npoints: int) -> MonomialCombo:
     return MonomialCombo.from_doubled(1, exps)
 
 
-def omega_path(npoints: int) -> DyckPath:
-    """Ground-state slot path: heights 0,1,2,1 repeated, on 2*npoints steps."""
-    if npoints < 2 or npoints % 2:
-        raise ValueError("need an even number of points >= 2")
-    heights = []
-    for _ in range(npoints // 2):
-        heights.extend((0, 1, 2, 1))
-    heights.append(0)
-    return DyckPath(tuple(heights))
-
-
 def omega_pairing(npoints: int) -> PairPartition:
     """Pairing of the ground-state path: {4j+1, 4j+4} and {4j+2, 4j+3}."""
     pairs = []
@@ -299,57 +287,3 @@ def omega_pairing(npoints: int) -> PairPartition:
         pairs.append((4 * j + 1, 4 * j + 4))
         pairs.append((4 * j + 2, 4 * j + 3))
     return make_pairing(pairs)
-
-
-def halved_path(b: DyckPath) -> DyckPath:
-    """Path on half as many steps through every second height, halved.
-
-    Defined when b has no extremum at an odd position, i.e. consecutive
-    even heights always differ."""
-    h = b.heights
-    sub = h[::2]
-    for x, y in zip(sub, sub[1:]):
-        if x == y:
-            raise ValueError("path has an extremum at an odd position")
-    return DyckPath(tuple(x // 2 for x in sub))
-
-
-# ---------------------------------------------------------------------------
-# Boundary data profile
-
-
-@dataclass(frozen=True)
-class BoundaryProfile:
-    """Piecewise constant boundary data encoded by a Dyck path.
-
-    plateaus[k] is the boundary value on the k-th interval between
-    marked points (2N+1 intervals, outermost ones at -2*lam), and
-    point_heights[k-1] is the effective height variable at marked point
-    k.  Descriptive only; no numerics depend on it.
-    """
-
-    plateaus: tuple[float, ...]
-    point_heights: tuple[float, ...]
-
-    @classmethod
-    def from_path(cls, b: DyckPath, lam: float = CONSTANTS.lam) -> "BoundaryProfile":
-        h = b.heights
-        plat = tuple(2 * lam * (x - 1) for x in h)
-        pts = tuple(lam * (h[k - 1] + h[k] - 2) for k in range(1, len(h)))
-        return cls(plat, pts)
-
-
-# ---------------------------------------------------------------------------
-# Convenience evaluation helpers
-
-
-def evaluate_block(a: PairPartition, x, dps: int | None = None):
-    return coulomb.evaluate(conformal_block(a), as_point_dict(x), dps=dps)
-
-
-def evaluate_pure(a: PairPartition, x, dps: int | None = None):
-    return coulomb.evaluate(pure_partition(a), as_point_dict(x), dps=dps)
-
-
-def evaluate_fused(p: LinkPattern, x, dps: int | None = None):
-    return coulomb.evaluate(fused_pure_partition(p), as_point_dict(x), dps=dps)

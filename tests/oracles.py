@@ -17,6 +17,8 @@ import mpmath
 import numpy as np
 import sympy as sp
 
+from mgffcross.combinat import PairPartition, make_pairing
+
 
 # ---------------------------------------------------------------------------
 # Combinatorics by brute force
@@ -89,6 +91,18 @@ def brute_arrow_relation(a_links, b_links) -> bool:
             return True
     return False
 
+
+
+def remove_link(p: PairPartition, j: int) -> PairPartition:
+    """Delete the link {j, j+1} and close the gap, relabeling k > j+1 to k-2."""
+    if (j, j + 1) not in p.links:
+        raise ValueError(f"{{{j},{j + 1}}} is not a link of the pairing")
+    out = []
+    for a, b in p.links:
+        if (a, b) == (j, j + 1):
+            continue
+        out.append((a if a < j else a - 2, b if b < j else b - 2))
+    return make_pairing(out)
 
 # ---------------------------------------------------------------------------
 # Symbolic series via sympy
@@ -238,6 +252,30 @@ def bridge_same_sign_probability(a: float, b: float, samples: int, rng, steps: i
     est = seg.prod(axis=1)
     return float(est.mean()), float(est.std(ddof=1) / math.sqrt(samples))
 
+
+
+def mask_to_partition(mask: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Pairwise-connectivity bitmask -> canonical set partition of 1..n."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    bit = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mask >> bit & 1:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+            bit += 1
+    blocks: dict[int, list[int]] = {}
+    for x in range(n):
+        blocks.setdefault(find(x), []).append(x + 1)
+    return tuple(sorted(tuple(b) for b in blocks.values()))
 
 # ---------------------------------------------------------------------------
 # Elliptic modulus via theta constants

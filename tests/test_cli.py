@@ -109,6 +109,14 @@ def test_prob_usage_errors(capsys):
     assert err
 
 
+def test_prob_negative_probability_fails(capsys):
+    # float cancellation at L = 0.2 leaves the q^4 entry at about -1e-16
+    code, out, err = run_cli(capsys, "prob", "--rectangle", "0.2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

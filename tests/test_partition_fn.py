@@ -6,12 +6,10 @@ import pytest
 import oracles
 from mgffcross import partition_fn as P
 from mgffcross.combinat import (
-    DyckPath,
     enumerate_link_patterns,
     enumerate_pairings,
     make_pairing,
     make_pattern,
-    remove_link,
     tau,
 )
 from mgffcross.coulomb import MonomialCombo, evaluate
@@ -100,7 +98,7 @@ def test_fuse_once_linked_removes_the_link(n):
             if n == 1:
                 assert got.terms == {(): F(1)}
             else:
-                want = P.pure_partition(remove_link(a, j)).rename(
+                want = P.pure_partition(oracles.remove_link(a, j)).rename(
                     {m: m + 1 for m in range(j, 2 * n - 1)}
                 )
                 assert got.terms == want.terms
@@ -159,28 +157,3 @@ def test_omega_is_the_lift_of_the_all_doubled_pattern():
             [(2 * j - 1, 2 * j) for j in range(1, npoints // 2 + 1) for _ in (0, 1)]
         )
         assert P.omega_pairing(npoints) == tau(doubled)
-        assert P.omega_path(npoints).heights == tuple(
-            [0, 1, 2, 1] * (npoints // 2) + [0]
-        )
-
-
-def test_halved_path():
-    assert P.halved_path(P.omega_path(2)).heights == (0, 1, 0)
-    assert P.halved_path(P.omega_path(4)).heights == (0, 1, 0, 1, 0)
-    with pytest.raises(ValueError):
-        P.halved_path(DyckPath((0, 1, 0, 1, 0)))  # extremum at odd position
-
-
-def test_boundary_profile_frozen():
-    lam = P.CONSTANTS.lam
-    prof = P.BoundaryProfile.from_path(P.omega_path(2))
-    assert prof.plateaus == (-2 * lam, 0.0, 2 * lam, 0.0, -2 * lam)
-    assert prof.point_heights == (-lam, lam, lam, -lam)
-
-
-def test_evaluation_helpers_agree_with_coulomb():
-    zz = make_pairing([(1, 2), (3, 4)])
-    assert P.evaluate_pure(zz, X4) == evaluate(P.pure_partition(zz), X4)
-    assert P.evaluate_block(zz, X4) == evaluate(P.conformal_block(zz), X4)
-    p = make_pattern([(1, 2), (1, 2)])
-    assert P.evaluate_fused(p, (0.0, 2.0)) == pytest.approx(1 / 4)

@@ -10,6 +10,7 @@ from mgffcross.combinat import enumerate_link_patterns, enumerate_pairings, tau
 from mgffcross.errors import IncompatiblePartitionsError
 from mgffcross.probability import (
     ClusterPartitions,
+    OutcomeDistribution,
     RectanglePolygon,
     canonical_partition,
     cluster_pattern_table,
@@ -154,6 +155,12 @@ def test_prob_of_and_json():
     assert len(rows) == 3
     assert rows[2]["prob"] == dist.probs[2]
     assert rows[0]["pattern"] == [list(l) for l in dist.patterns[0].links]
+
+
+def test_distribution_rejects_negative_probability():
+    pats = enumerate_link_patterns((2, 2, 2, 2))
+    with pytest.raises(ArithmeticError):
+        OutcomeDistribution(pats, (1.0, 1e-16, -1e-16))
 
 
 # ---------------------------------------------------------------------------

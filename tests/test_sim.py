@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mgffcross.errors import IncompatiblePartitionsError
-from mgffcross.probability import RectanglePolygon
+from mgffcross.probability import RectanglePolygon, cluster_pattern_table
 from mgffcross.mgff_sim.lattice import (
     LatticeField,
     boundary_values,
@@ -16,25 +15,20 @@ from mgffcross.mgff_sim.lattice import (
     harmonic_extension,
     interior_noise_to_field,
     laplacian_residual,
-    sample_zero_boundary_gff,
     _dst2,
 )
 from mgffcross.mgff_sim.kernels import (
     HAS_NUMBA,
-    mask_to_partition,
     pair_bit,
     percolate_batch,
     resolve_kernel,
 )
 from mgffcross.mgff_sim.experiment import (
     MU_LAT_DEFAULT,
-    ClusterState,
     ExperimentReport,
     SimConfig,
     _trial_stream,
-    extract_pattern,
     partition_mask,
-    percolate,
     run_experiment,
     sweep_mu,
     wilson_interval,
@@ -44,6 +38,7 @@ from oracles import (
     bridge_same_sign_probability,
     dense_gff_variances,
     dense_harmonic_extension,
+    mask_to_partition,
 )
 
 SQUARE = RectanglePolygon.corners(1.0)
@@ -174,14 +169,6 @@ def test_sampler_variances_match_dense_inverse():
     assert np.max(np.abs(got - want) / se) < 4.5
 
 
-def test_sample_zero_boundary_gff_shape():
-    spec = build_lattice(RectanglePolygon.corners(2.0), 4)
-    f = sample_zero_boundary_gff(spec, np.random.default_rng(0))
-    assert f.values.shape == (5, 9)
-    assert (f.values[0] == 0).all() and (f.values[-1] == 0).all()
-    assert (f.values[:, 0] == 0).all() and (f.values[:, -1] == 0).all()
-
-
 # ---------------------------------------------------------------------------
 # edge opening
 
@@ -278,55 +265,39 @@ def test_kernels_agree_bit_for_bit():
 
 def _planted_state(interior_sign, mu=2.0, ny=4):
     """Percolate a field that is +-mu on the boundary arcs and uniformly
-    `interior_sign * mu` inside, with every same-sign edge forced open."""
+    `interior_sign * mu` inside, with every same-sign edge forced open.
+    Returns the positive and negative arc partitions."""
     spec = build_lattice(SQUARE, ny)
     grid = boundary_values(spec, mu).reshape(ny + 1, ny + 1)
     grid[1:-1, 1:-1] = interior_sign * mu
     uniforms = np.zeros((1, spec.n_edges))
     pos, neg = percolate_batch(grid.reshape(1, -1), uniforms, spec, None)
     n = spec.narcs // 2
-    return ClusterState(
-        int(pos[0]), int(neg[0]), mask_to_partition(int(pos[0]), n),
-        mask_to_partition(int(neg[0]), n),
-    )
+    return mask_to_partition(int(pos[0]), n), mask_to_partition(int(neg[0]), n)
 
 
 def test_planted_positive_interior_wires_positive_arcs():
-    state = _planted_state(+1)
-    assert state.pos_blocks == ((1, 2),)
-    assert state.neg_blocks == ((1,), (2,))
-    pat = extract_pattern(state, 2)
+    pos, neg = _planted_state(+1)
+    assert pos == ((1, 2),)
+    assert neg == ((1,), (2,))
+    pat = cluster_pattern_table(2)[(pos, neg)]
     assert sorted(pat.links) == [(1, 4), (1, 4), (2, 3), (2, 3)]
 
 
 def test_planted_negative_interior_wires_negative_arcs():
-    state = _planted_state(-1)
-    assert state.pos_blocks == ((1,), (2,))
-    assert state.neg_blocks == ((1, 2),)
-    pat = extract_pattern(state, 2)
+    pos, neg = _planted_state(-1)
+    assert pos == ((1,), (2,))
+    assert neg == ((1, 2),)
+    pat = cluster_pattern_table(2)[(pos, neg)]
     assert sorted(pat.links) == [(1, 2), (1, 2), (3, 4), (3, 4)]
 
 
 def test_planted_zero_interior_gives_ring():
-    state = _planted_state(0)
-    assert state.pos_blocks == ((1,), (2,))
-    assert state.neg_blocks == ((1,), (2,))
-    pat = extract_pattern(state, 2)
+    pos, neg = _planted_state(0)
+    assert pos == ((1,), (2,))
+    assert neg == ((1,), (2,))
+    pat = cluster_pattern_table(2)[(pos, neg)]
     assert sorted(pat.links) == [(1, 2), (1, 4), (2, 3), (3, 4)]
-
-
-def test_extract_pattern_rejects_nonplanar_state():
-    bad = ClusterState(1, 1, ((1, 2),), ((1, 2),))
-    with pytest.raises(IncompatiblePartitionsError):
-        extract_pattern(bad, 2)
-
-
-def test_percolate_single_trial_consistent():
-    spec = build_lattice(SQUARE, 4)
-    f = harmonic_extension(spec, MU_LAT_DEFAULT)
-    state = percolate(f, np.random.default_rng(5))
-    assert state.pos_blocks == mask_to_partition(state.pos_mask, 2)
-    assert state.neg_blocks == mask_to_partition(state.neg_mask, 2)
 
 
 # ---------------------------------------------------------------------------
