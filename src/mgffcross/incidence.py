@@ -4,19 +4,26 @@ M[alpha, beta] = 1 when every link of beta connects an up-step position
 of alpha to a down-step position of alpha (in Dyck path terms), else 0.
 M is unit upper triangular when both axes carry the lexicographic Dyck
 order, because M[alpha, beta] = 1 forces alpha <= beta pointwise and
-lex order extends the pointwise order.  The inverse is computed exactly
-over the rationals and is integer valued; its support is contained in
-the pointwise order and its signs alternate with the area between the
-two paths.
+lex order extends the pointwise order.  So each row of the inverse is
+an integer back-substitution over the pointwise up-set of alpha; its
+entries are integers whose signs alternate with the area between the
+two paths, and it vanishes off the pointwise order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import PairPartition, enumerate_pairings
+from .combinat import (
+    DyckPath,
+    PairPartition,
+    catalan,
+    dyck_from_pairing,
+    enumerate_dyck_paths,
+    leq,
+    pairing_from_dyck,
+)
 from .errors import CapacityError
 
 MATRIX_SIZE_CAP = 2000
@@ -41,15 +48,7 @@ class IncidenceMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def index(self, p: PairPartition) -> int:
-        return self._index_map()[p]
-
-    def _index_map(self) -> dict[PairPartition, int]:
-        if not hasattr(self, "_imap"):
-            object.__setattr__(self, "_imap", {p: i for i, p in enumerate(self.order)})
-        return self._imap
-
-    def entry(self, a: PairPartition, b: PairPartition) -> int:
-        return self.entries[self.index(a)][self.index(b)]
+        return self.order.index(p)
 
     @property
     def size(self) -> int:
@@ -57,68 +56,43 @@ class IncidenceMatrix:
 
 
 @lru_cache(maxsize=None)
+def _dyck_order(n: int) -> tuple[tuple[PairPartition, DyckPath], ...]:
+    """Planar pair partitions of {1..2n} with their Dyck paths, in lex Dyck order."""
+    if catalan(n) > MATRIX_SIZE_CAP:
+        raise CapacityError(f"matrix size {catalan(n)} exceeds cap {MATRIX_SIZE_CAP}")
+    return tuple((pairing_from_dyck(d), d) for d in enumerate_dyck_paths(n))
+
+
+@lru_cache(maxsize=None)
 def incidence_matrix(n: int) -> IncidenceMatrix:
     """M over all planar pair partitions of {1..2n} in lexicographic Dyck order."""
-    order = enumerate_pairings(n)
-    if len(order) > MATRIX_SIZE_CAP:
-        raise CapacityError(f"matrix size {len(order)} exceeds cap {MATRIX_SIZE_CAP}")
+    order = tuple(p for p, _ in _dyck_order(n))
     rows = tuple(tuple(arrow_relation(a, b) for b in order) for a in order)
     return IncidenceMatrix(order, rows)
 
 
-def inverse_incidence_matrix(m: IncidenceMatrix) -> IncidenceMatrix:
-    """Exact inverse of M; raises if it fails to be integer valued.
+@lru_cache(maxsize=None)
+def inverse_row(alpha: PairPartition) -> tuple[tuple[PairPartition, int], ...]:
+    """Nonzero entries of the alpha row of the inverse, as (beta, coeff).
 
-    Plain Gauss-Jordan over Fraction.  M is unit upper triangular in the
-    stored order, so elimination never needs pivoting and most row
-    operations are skipped.
+    Solves X M = I row-wise in lex Dyck order: X[alpha, beta] =
+    [alpha = beta] - sum over gamma before beta of X[alpha, gamma] M[gamma, beta],
+    running only over the beta >= alpha pointwise, where the row lives.
     """
-    n = m.size
-    a = [[Fraction(x) for x in row] for row in m.entries]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("incidence matrix is singular")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        d = a[col][col]
-        if d != 1:
-            a[col] = [x / d for x in a[col]]
-            inv[col] = [x / d for x in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if f == 0:
-                continue
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError(f"inverse entry {x} is not an integer")
-            irow.append(int(x))
-        out.append(tuple(irow))
-    return IncidenceMatrix(m.order, tuple(out))
+    top = dyck_from_pairing(alpha)
+    row: list[tuple[PairPartition, int]] = []
+    for beta, path in _dyck_order(alpha.n):
+        if not leq(top, path):
+            continue
+        c = int(beta == alpha) - sum(x * arrow_relation(g, beta) for g, x in row)
+        if c:
+            row.append((beta, c))
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
 def inverse_incidence(n: int) -> IncidenceMatrix:
-    return inverse_incidence_matrix(incidence_matrix(n))
-
-
-def inverse_row(alpha: PairPartition) -> tuple[tuple[PairPartition, int], ...]:
-    """Nonzero entries of the alpha row of the inverse, as (beta, coeff)."""
-    inv = inverse_incidence(alpha.n)
-    i = inv.index(alpha)
-    return tuple(
-        (beta, c) for beta, c in zip(inv.order, inv.entries[i]) if c != 0
-    )
+    """The full inverse of M, stacked from `inverse_row`."""
+    order = tuple(p for p, _ in _dyck_order(n))
+    rows = (dict(inverse_row(a)) for a in order)
+    return IncidenceMatrix(order, tuple(tuple(r.get(b, 0) for b in order) for r in rows))

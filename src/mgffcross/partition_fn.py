@@ -14,9 +14,10 @@ order PDEs.
 Fusing the points pairwise, x_{2j} -> x_{2j-1}, at normalized order
 +1/2 per pair produces the partition functions of valence-2 insertions:
 Zhat of a link pattern is the full pairwise fusion of Z over the slot
-lift of the pattern.  Two independent routes are provided, a sequential
-one (repeated fuse_pair) and a closed-form grouped one, plus the total
-partition function that normalizes crossing probabilities.
+lift of the pattern, computed in closed form by grouping the fusion
+series of the inverse-incidence row of that lift (whose entries are an
+integer back-substitution, see `incidence`).  The total partition
+function normalizes crossing probabilities.
 
 All variable labels are 1-based; fused functions live on labels 1..2N.
 """
@@ -167,31 +168,6 @@ def fuse_once(a: PairPartition, j: int) -> MonomialCombo:
 # Full pairwise fusion
 
 
-def _fusion_slot_pairs(npoints: int) -> tuple[tuple[int, int], ...]:
-    return tuple((2 * j - 1, 2 * j) for j in range(1, npoints + 1))
-
-
-def _finish_relabel(c: MonomialCombo, npoints: int) -> MonomialCombo:
-    return c.rename({2 * j - 1: j for j in range(1, npoints + 1)})
-
-
-@lru_cache(maxsize=None)
-def fused_pure_partition(p: LinkPattern) -> MonomialCombo:
-    """Zhat of a valence-2 link pattern on 2N points, in labels 1..2N.
-
-    Sequential route: start from Z of the slot lift tau(p) on 4N points
-    and fuse each slot pair (2j-1, 2j) at order +1/2.  The order of the
-    pair fusions does not matter; lower-order cancellation at each step
-    is verified exactly by fuse_pair.
-    """
-    if set(p.valences) != {2}:
-        raise ValueError("pattern must have valence 2 at every point")
-    c = pure_partition(tau(p))
-    for u, v in _fusion_slot_pairs(p.npoints):
-        c = coulomb.fuse_pair(c, u, v, u, Fraction(1, 2))
-    return _finish_relabel(c, p.npoints)
-
-
 def _partial_matchings(items: tuple[int, ...]):
     """All ways to pick disjoint unordered pairs from items (possibly none).
 
@@ -210,14 +186,16 @@ def _partial_matchings(items: tuple[int, ...]):
             yield ((first, second),) + pairs, un
 
 
-def fused_pure_partition_grouped(p: LinkPattern) -> MonomialCombo:
-    """Zhat by the closed-form route, grouping the fusion series directly.
+@lru_cache(maxsize=None)
+def fused_pure_partition(p: LinkPattern) -> MonomialCombo:
+    """Zhat of a valence-2 link pattern on 2N points, in labels 1..2N.
 
-    Runs over base pairings beta in the inverse-incidence row of the
-    slot lift whose Dyck path has no peak at any odd position.  Odd
+    The full pairwise fusion of Z over the slot lift tau(p), with each
+    slot pair (2j-1, 2j) collapsed at order +1/2, grouped in closed form:
+    it runs over the base pairings beta in the inverse-incidence row of
+    the lift whose Dyck path has no peak at any odd position.  Odd
     positions carrying a valley form the set J; the fused limit of the
     grouped series is an explicit sum over partial matchings of J.
-    Independent of `fused_pure_partition` except for shared primitives.
     """
     if set(p.valences) != {2}:
         raise ValueError("pattern must have valence 2 at every point")

@@ -85,8 +85,8 @@ class OutcomeDistribution:
     def __post_init__(self):
         if len(self.patterns) != len(self.probs):
             raise ValueError("length mismatch")
-        if any(pr < 0 for pr in self.probs):
-            raise ArithmeticError(f"negative probability in {self.probs!r}")
+        if any(not 0 <= pr < math.inf for pr in self.probs):
+            raise ArithmeticError(f"negative or non-finite probability in {self.probs!r}")
         s = sum(self.probs)
         if abs(s - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {s!r}, not 1")

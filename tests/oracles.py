@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the production code paths: brute
 force enumeration instead of recursive constructions, sympy symbolic
-series instead of the hand-rolled expansion, dense sparse-matrix solves
+series instead of the hand-rolled expansion, repeated pairwise fusion
+instead of the grouped closed form, dense sparse-matrix solves
 instead of the DST solver, and an exact-skeleton Brownian bridge
 estimator instead of the closed-form crossing probability.
 """
@@ -17,7 +18,8 @@ import mpmath
 import numpy as np
 import sympy as sp
 
-from mgffcross.combinat import PairPartition, make_pairing
+from mgffcross import coulomb, partition_fn
+from mgffcross.combinat import PairPartition, make_pairing, tau
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +105,20 @@ def remove_link(p: PairPartition, j: int) -> PairPartition:
             continue
         out.append((a if a < j else a - 2, b if b < j else b - 2))
     return make_pairing(out)
+
+
+def sequential_fused_pure_partition(p):
+    """Zhat of a valence-2 link pattern by repeated pairwise fusion.
+
+    Starts from Z of the slot lift tau(p) on 4N points and fuses each slot
+    pair (2j-1, 2j) at order +1/2 with `coulomb.fuse_pair`, which checks
+    exactly that every lower order cancels; it shares only these
+    primitives with the grouped closed form in `partition_fn`."""
+    c = partition_fn.pure_partition(tau(p))
+    for j in range(1, p.npoints + 1):
+        c = coulomb.fuse_pair(c, 2 * j - 1, 2 * j, 2 * j - 1, Fraction(1, 2))
+    return c.rename({2 * j - 1: j for j in range(1, p.npoints + 1)})
+
 
 # ---------------------------------------------------------------------------
 # Symbolic series via sympy

@@ -117,6 +117,15 @@ def test_prob_negative_probability_fails(capsys):
     assert err.startswith("error:")
 
 
+def test_prob_ten_points_is_over_capacity(capsys):
+    # ten points lift to a pairing of 20 slots: Catalan(10) rows exceed the cap
+    pts = [str(k) for k in range(10)]
+    code, out, err = run_cli(capsys, "prob", "--points", *pts)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capacity:")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

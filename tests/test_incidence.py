@@ -49,7 +49,7 @@ def test_frozen_small_matrices():
     assert inverse_incidence(2).entries == ((1, -1), (0, 1))
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
 def test_inverse_is_exact(n):
     m = incidence_matrix(n)
     inv = inverse_incidence(n)
@@ -101,7 +101,7 @@ def test_inverse_sign_flip_under_min_raises(n):
                 if local_shape(pb, pos) is not LocalShape.MIN:
                     continue
                 up = pairing_from_dyck(flip_min_to_max(pb, pos))
-                assert inv.entries[i][j] == -inv.entry(inv.order[i], up)
+                assert inv.entries[i][j] == -inv.entries[i][inv.index(up)]
                 # and the order equivalence backing the support statement
                 assert leq(pa, pb) == leq(pa, flip_min_to_max(pb, pos))
                 checked += 1

@@ -121,14 +121,14 @@ def test_fused_pure_partition_single_pair():
 
 
 @pytest.mark.parametrize("npoints", (2, 4, 6))
-def test_grouped_route_equals_sequential_route(npoints):
+def test_fused_pure_partition_equals_sequential_oracle(npoints):
     for p in enumerate_link_patterns((2,) * npoints):
-        seq = P.fused_pure_partition(p)
-        grp = P.fused_pure_partition_grouped(p)
+        seq = oracles.sequential_fused_pure_partition(p)
+        grp = P.fused_pure_partition(p)
         assert seq.terms == grp.terms
 
 
-@pytest.mark.parametrize("npoints", (2, 4, 6))
+@pytest.mark.parametrize("npoints", (2, 4, 6, 8))
 def test_sum_rule(npoints):
     """Reachable-pattern fused functions add up to the total mass."""
     om = P.omega_pairing(npoints)

@@ -161,6 +161,8 @@ def test_distribution_rejects_negative_probability():
     pats = enumerate_link_patterns((2, 2, 2, 2))
     with pytest.raises(ArithmeticError):
         OutcomeDistribution(pats, (1.0, 1e-16, -1e-16))
+    with pytest.raises(ArithmeticError):
+        OutcomeDistribution(pats, (math.nan,) * 3)
 
 
 # ---------------------------------------------------------------------------
