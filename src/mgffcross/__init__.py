@@ -12,7 +12,7 @@ Layers, bottom up:
 `probability`   outcome distributions, rectangle geometry via elliptic
                 moduli, and the cluster-pattern dictionary.
 `mgff_sim`      square-lattice simulator: DST Poisson solver, per-edge
-                percolation, union-find cluster extraction.
+                percolation, batched connected-components arc wiring.
 `verify`        independent numerical checks (null-field PDEs, Moebius
                 covariance, collapse asymptotics, bounds).
 `cli`           reproducible command-line runs with manifests.

@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument("--out", metavar="PREFIX", help="output path prefix (default run)")
     ps.add_argument("--threads", type=int, help="worker threads, 0 = one per cpu (default 0)")
-    ps.add_argument("--kernel", choices=("auto", "numba", "numpy"), help="percolation kernel")
+    ps.add_argument("--kernel", choices=("auto", "numpy"), help="percolation kernel")
     ps.add_argument("--chunk", type=int, help="trials per work unit (default 512)")
 
     pv = sub.add_parser("verify", help="independent numerical check suites")

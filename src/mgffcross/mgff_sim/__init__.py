@@ -10,12 +10,7 @@ from .experiment import (
     sweep_mu,
     wilson_interval,
 )
-from .kernels import (
-    HAS_NUMBA,
-    pair_bit,
-    percolate_batch,
-    resolve_kernel,
-)
+from .kernels import pair_bit, percolate_batch, resolve_kernel
 from .lattice import (
     LatticeField,
     LatticeSpec,
@@ -30,7 +25,6 @@ from .lattice import (
 __all__ = [
     "MU_LAT_DEFAULT",
     "ExperimentReport",
-    "HAS_NUMBA",
     "LatticeField",
     "LatticeSpec",
     "MeshResult",

@@ -30,7 +30,7 @@ from ..probability import (
     crossing_probability,
     rect_boundary_to_halfplane,
 )
-from .kernels import pair_bit, percolate_batch
+from .kernels import pair_bit, percolate_batch, resolve_kernel
 from .lattice import (
     LatticeSpec,
     build_lattice,
@@ -57,6 +57,15 @@ class SimConfig:
     kernel: str = "auto"
     threads: int = 0  # 0 = one worker per cpu
     chunk: int = 512
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.chunk < 1:
+            raise ValueError(f"chunk must be at least 1, got {self.chunk}")
+        if self.threads < 0:
+            raise ValueError(f"threads must be 0 (one per cpu) or more, got {self.threads}")
+        resolve_kernel(self.kernel)
 
 
 def partition_mask(blocks, n: int) -> int:

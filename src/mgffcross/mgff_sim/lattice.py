@@ -130,6 +130,28 @@ def build_lattice(R: RectanglePolygon, ny: int) -> LatticeSpec:
     )
 
 
+def open_probabilities(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:
+    """(B, nE) opening probabilities of every edge, in the edge order of
+    `build_lattice`, from (B, nV) field values.
+
+    Endpoint products come from grid slices (horizontal edges row by
+    row, then vertical ones), and 1 - exp(-2ab) is formed in place.  A
+    product <= 0 gives a value <= 0, so no uniform in [0, 1) opens that
+    edge: the same open set as `edge_open_probability`.
+    """
+    B = values.shape[0]
+    ny, nx = spec.ny, spec.nx
+    grid = values.reshape(B, ny + 1, nx + 1)
+    nh = (ny + 1) * nx
+    p = np.empty((B, spec.n_edges))
+    np.multiply(grid[:, :, :-1], grid[:, :, 1:], out=p[:, :nh].reshape(B, ny + 1, nx))
+    np.multiply(grid[:, :-1, :], grid[:, 1:, :], out=p[:, nh:].reshape(B, ny, nx + 1))
+    np.multiply(p, -2.0, out=p)
+    np.expm1(p, out=p)
+    np.negative(p, out=p)
+    return p
+
+
 @dataclass
 class LatticeField:
     """Field values on the full vertex grid, boundary rows exact."""

@@ -4,7 +4,8 @@ Everything here deliberately avoids the production code paths: brute
 force enumeration instead of recursive constructions, sympy symbolic
 series instead of the hand-rolled expansion, repeated pairwise fusion
 instead of the grouped closed form, dense sparse-matrix solves
-instead of the DST solver, and an exact-skeleton Brownian bridge
+instead of the DST solver, one percolation graph per trial instead of
+the block-diagonal chunk graph, and an exact-skeleton Brownian bridge
 estimator instead of the closed-form crossing probability.
 """
 
@@ -16,7 +17,9 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import scipy.sparse
 import sympy as sp
+from scipy.sparse.csgraph import connected_components
 
 from mgffcross import coulomb, partition_fn
 from mgffcross.combinat import PairPartition, make_pairing, tau
@@ -268,6 +271,45 @@ def bridge_same_sign_probability(a: float, b: float, samples: int, rng, steps: i
     est = seg.prod(axis=1)
     return float(est.mean()), float(est.std(ddof=1) / math.sqrt(samples))
 
+
+def percolate_per_trial(values, uniforms, spec):
+    """Arc-connectivity bitmasks (pos, neg) of a batch of trials, one
+    scipy graph per trial: fancy-indexed endpoint values, boundary
+    vertices attached to their arc's supernode by extra edges."""
+    B, nv = values.shape
+    edge_a = spec.edge_a.astype(np.int64)
+    edge_b = spec.edge_b.astype(np.int64)
+    arc_of = spec.arc_of.astype(np.int64)
+    narcs = spec.narcs
+    nn = nv + narcs
+    half = narcs // 2
+    prod = values[:, edge_a] * values[:, edge_b]
+    popen = np.where(prod > 0.0, -np.expm1(-2.0 * prod), 0.0)
+    is_open = uniforms < popen
+    bvert = np.nonzero(arc_of >= 0)[0]
+    attach_b = nv + arc_of[bvert]
+    out_pos = np.zeros(B, dtype=np.int64)
+    out_neg = np.zeros(B, dtype=np.int64)
+    for t in range(B):
+        rows = np.concatenate([edge_a[is_open[t]], bvert])
+        cols = np.concatenate([edge_b[is_open[t]], attach_b])
+        g = scipy.sparse.coo_matrix(
+            (np.ones(rows.shape[0], dtype=np.int8), (rows, cols)), shape=(nn, nn)
+        )
+        _, labels = connected_components(g, directed=False)
+        pos = 0
+        neg = 0
+        bit = 0
+        for i in range(half):
+            for j in range(i + 1, half):
+                if labels[nv + 2 * i] == labels[nv + 2 * j]:
+                    pos |= 1 << bit
+                if labels[nv + 2 * i + 1] == labels[nv + 2 * j + 1]:
+                    neg |= 1 << bit
+                bit += 1
+        out_pos[t] = pos
+        out_neg[t] = neg
+    return out_pos, out_neg
 
 
 def mask_to_partition(mask: int, n: int) -> tuple[tuple[int, ...], ...]:

@@ -213,6 +213,29 @@ def test_simulate_usage_errors(tmp_path, capsys):
     assert code == 2 and "usage" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("trials", "0"), ("trials", "-5"), ("chunk", "0"), ("chunk", "-3"), ("threads", "-1")],
+)
+def test_simulate_rejects_bad_run_sizes(tmp_path, capsys, key, value):
+    cfg = tmp_path / "settings.cfg"
+    cfg.write_text(f"trials = 100\n{key} = {value}\n")
+    out = str(tmp_path / "x")
+    for source in (("--trials", "100", f"--{key}", value), ("--config", str(cfg))):
+        code, _, err = run_cli(capsys, "simulate", "--mesh", "8", *source, "--out", out)
+        assert code == 2 and "usage" in err
+        assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_rejects_numba_kernel(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, *SIM_ARGS, "--kernel", "numba", "--out", str(tmp_path / "x"))
+    assert code == 2
+    cfg = tmp_path / "settings.cfg"
+    cfg.write_text("kernel = numba\n")
+    code, _, err = run_cli(capsys, *SIM_ARGS, "--config", str(cfg), "--out", str(tmp_path / "y"))
+    assert code == 2 and "unknown kernel" in err
+
+
 def test_simulate_thin_rectangle_is_usage_error(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, *SIM_ARGS, "--L", "0.01", "--out", str(tmp_path / "x")
