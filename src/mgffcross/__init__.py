@@ -9,7 +9,7 @@ Layers, bottom up:
                 their one-point collapse (series extraction at x_v -> x_u).
 `partition_fn`  pure partition functions Z_a, their fused descendants, and
                 the total mass they must add up to.
-`probability`   outcome distributions, rectangle geometry via elliptic
+`probability`   outcome distributions, rectangle geometry via theta-series
                 moduli, and the cluster-pattern dictionary.
 `mgff_sim`      square-lattice simulator: DST Poisson solver, per-edge
                 percolation, batched connected-components arc wiring.
@@ -46,31 +46,3 @@ from .probability import (
     outcome_distribution,
     rectangle_distribution,
 )
-
-__all__ = [
-    "__version__",
-    "CapacityError",
-    "DivergenceError",
-    "IncompatiblePartitionsError",
-    "TruncationLimitError",
-    "DyckPath",
-    "PairPartition",
-    "LinkPattern",
-    "enumerate_dyck_paths",
-    "enumerate_pairings",
-    "enumerate_link_patterns",
-    "make_pairing",
-    "make_pattern",
-    "tau",
-    "incidence_matrix",
-    "inverse_incidence",
-    "CONSTANTS",
-    "pure_partition",
-    "fused_pure_partition",
-    "z_mgff_total",
-    "connection_probability",
-    "crossing_probability",
-    "outcome_distribution",
-    "rectangle_distribution",
-    "RectanglePolygon",
-]

@@ -173,20 +173,19 @@ def _cmd_prob(args) -> int:
 
     if args.rectangle is not None:
         R = probability.RectanglePolygon.corners(args.rectangle)
-        dist = probability.rectangle_distribution(R)
-        q = probability.cross_ratio_rectangle(args.rectangle)
-        header = {"L": args.rectangle, "q": q}
+        ys = probability.rect_boundary_to_halfplane(R)
+        header = {"L": args.rectangle, "q": probability.cross_ratio_rectangle(args.rectangle)}
     else:
         ys = list(args.points)
         if len(ys) % 2 or len(ys) < 2:
             raise ValueError("need an even number of boundary points, at least two")
-        dist = probability.outcome_distribution(len(ys), ys)
         header = {"points": ys}
-        q = probability.cross_ratio(ys) if len(ys) == 4 else None
-        if q is not None:
-            header["q"] = q
+        if len(ys) == 4:
+            header["q"] = probability.cross_ratio(ys)
+    dist = probability.outcome_distribution(len(ys), ys)
     if args.json:
-        print(json.dumps({**header, "outcomes": dist.as_json()}, sort_keys=True))
+        cond = probability.condition(len(ys), ys)
+        print(json.dumps({**header, "cond": cond, "outcomes": dist.as_json()}, sort_keys=True))
         return 0
     for k, v in header.items():
         print(f"{k} = {json.dumps(v)}")

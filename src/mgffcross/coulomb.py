@@ -23,6 +23,8 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
+import numpy as np
+
 from .errors import DivergenceError, TruncationLimitError
 
 # Hard cap on how deep a series is developed past its leading order.
@@ -63,10 +65,12 @@ class MonomialCombo:
     """Finite rational combination of difference-product monomials.
 
     Internally a dict from canonical exponent keys to nonzero Fractions;
-    supports +, -, scalar and combo multiplication, exact equality.
+    supports +, -, scalar and combo multiplication, exact equality.  The
+    first evaluation caches a compiled table in `_compiled`, so a combo
+    must not be mutated once built; the operations all return new ones.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_compiled")
 
     def __init__(self, terms: dict[ExpKey, Fraction] | None = None):
         self.terms: dict[ExpKey, Fraction] = {}
@@ -88,9 +92,7 @@ class MonomialCombo:
 
     @staticmethod
     def monomial(coeff, exponents) -> "MonomialCombo":
-        """exponents: mapping or iterable of ((a, b), e) with e in (1/2)Z,
-        given either as Fraction/int exponents or as (pair, e2) doubled ints
-        via `doubled=True` semantics of from_doubled."""
+        """exponents: mapping or iterable of ((a, b), e), e in (1/2)Z."""
         items = exponents.items() if hasattr(exponents, "items") else exponents
         doubled = []
         for pair, e in items:
@@ -236,69 +238,96 @@ class MonomialCombo:
 # Evaluation
 
 
-def evaluate(c: MonomialCombo, values, dps: int | None = None):
-    """Evaluate at x = values (mapping label -> number, or a sequence taken
-    as labels 1..len).  With dps set, works in mpmath arithmetic at that
-    precision and returns an mpf.
+class _Compiled:
+    """A combo as a table over its pairs: term t is coef[t] * prod_j
+    d_j^(e2[t, j]/2), where slots[t, j] points at that power in the
+    (pairs x powers) table each evaluation fills with one `pow` apiece."""
 
-    Requires x_b - x_a nonzero on every used pair, and positive whenever
-    the exponent is a strict half-integer.
-    """
-    if not hasattr(values, "keys"):
-        values = {i + 1: v for i, v in enumerate(values)}
-    if dps is not None:
+    __slots__ = ("pairs", "low", "powers", "odd", "slots", "coef", "exact")
+
+    def __init__(self, terms: dict[ExpKey, Fraction]):
+        # rows in dict order: each row's product and the exact fsum do not
+        # depend on it, so equal combos still evaluate to equal bits
+        self.pairs = tuple(sorted({pair for key in terms for pair, _ in key}))
+        col = {pair: j for j, pair in enumerate(self.pairs)}
+        e2 = np.zeros((len(terms), len(self.pairs)), dtype=np.int64)
+        e2.ravel()[[t * len(col) + col[p] for t, key in enumerate(terms) for p, _ in key]] = [
+            e for key in terms for _, e in key
+        ]
+        self.low = int(e2.min(initial=0))
+        self.powers = np.arange(self.low, int(e2.max(initial=0)) + 1) / 2
+        self.odd = tuple(np.flatnonzero((e2 % 2).any(axis=0)).tolist())  # half-integer powers
+        self.slots = e2 - self.low + len(self.powers) * np.arange(len(self.pairs))
+        self.exact = tuple(terms.values())
+        self.coef = np.array([float(c) for c in self.exact])
+
+    def differences(self, values, conv) -> list:
+        if not hasattr(values, "keys"):
+            values = dict(enumerate(values, 1))
+        try:
+            d = [conv(values[b]) - conv(values[a]) for a, b in self.pairs]
+        except KeyError as exc:
+            raise ValueError(f"no value for variable {exc.args[0]}") from None
+        if 0 in d:
+            raise ValueError(f"coincident points for pair {self.pairs[d.index(0)]}")
+        for j in self.odd:
+            if d[j] < 0:
+                raise ValueError(f"negative base for half-integer power on pair {self.pairs[j]}")
+        return d
+
+    def float_terms(self, values) -> np.ndarray:
+        d = np.array(self.differences(values, float))
+        with np.errstate(all="ignore"):  # NaN powers of negative bases are never gathered
+            pw = np.power(d[:, None], self.powers)
+            # rows multiply in pair order, so equal combos give equal bits
+            terms = self.coef * pw.ravel()[self.slots].prod(axis=1)
+        if not np.isfinite(terms).all():
+            raise OverflowError("a term leaves the float range")
+        return terms
+
+    def mp_sum(self, values, dps: int):
         import mpmath
 
         with mpmath.workdps(dps):
-            vals = {k: mpmath.mpf(v) if not isinstance(v, mpmath.mpf) else v
-                    for k, v in values.items()}
-            return _evaluate_core(c, vals, mpmath_mode=True)
-    return _evaluate_core(c, {k: float(v) for k, v in values.items()}, mpmath_mode=False)
+            keep = lambda v: v if isinstance(v, mpmath.mpf) else mpmath.mpf(v)
+            d = self.differences(values, keep)
+            W, pw, terms = len(self.powers), {}, []
+            for c, row in zip(self.exact, self.slots.tolist()):
+                t = mpmath.mpf(c.numerator) / c.denominator
+                for s in row:
+                    e2 = s % W + self.low
+                    if not e2:
+                        continue
+                    if s not in pw:
+                        q, half = divmod(e2, 2)
+                        pw[s] = d[s // W] ** q * (mpmath.sqrt(d[s // W]) if half else 1)
+                    t *= pw[s]
+                terms.append(t)
+            return mpmath.fsum(terms)
 
 
-def _evaluate_core(c: MonomialCombo, vals, mpmath_mode: bool):
-    if mpmath_mode:
-        import mpmath
+def _compiled(c: MonomialCombo) -> _Compiled:
+    if getattr(c, "_compiled", None) is None:
+        c._compiled = _Compiled(c.terms)
+    return c._compiled
 
-        sqrt = mpmath.sqrt
-        total = mpmath.mpf(0)
-        one = mpmath.mpf(1)
-    else:
-        sqrt = math.sqrt
-        total = 0.0
-        one = 1.0
-    pow_cache: dict[tuple[Pair, int], object] = {}
-    diff_cache: dict[Pair, object] = {}
 
-    def factor(pair: Pair, e2: int):
-        got = pow_cache.get((pair, e2))
-        if got is not None:
-            return got
-        d = diff_cache.get(pair)
-        if d is None:
-            a, b = pair
-            try:
-                d = vals[b] - vals[a]
-            except KeyError as exc:
-                raise ValueError(f"no value for variable {exc.args[0]}") from None
-            if d == 0:
-                raise ValueError(f"coincident points for pair {pair}")
-            diff_cache[pair] = d
-        if e2 % 2 and d < 0:
-            raise ValueError(f"negative base for half-integer power on pair {pair}")
-        q, r = divmod(e2, 2)
-        val = d**q
-        if r:
-            val = val * sqrt(d)
-        pow_cache[(pair, e2)] = val
-        return val
+def evaluate(c: MonomialCombo, values, dps: int | None = None):
+    """Evaluate at x = values (mapping label -> number, or a sequence taken
+    as labels 1..len) in float, or with dps set in mpmath (an mpf).
+    Requires x_b - x_a nonzero on every used pair, and positive whenever
+    the exponent is a strict half-integer."""
+    if dps is None:
+        return math.fsum(_compiled(c).float_terms(values).tolist())
+    return _compiled(c).mp_sum(values, dps)
 
-    for key, coeff in sorted(c.terms.items()):
-        term = one * (coeff.numerator) / coeff.denominator
-        for pair, e2 in key:
-            term = term * factor(pair, e2)
-        total = total + term
-    return total
+
+def condition(c: MonomialCombo, values) -> float:
+    """Summation condition number sum|t_i| / |sum t_i| of c at values, in
+    float: the factor by which the sum can amplify the terms' rounding."""
+    terms = _compiled(c).float_terms(values)
+    s = math.fsum(terms.tolist())
+    return math.fsum(np.abs(terms).tolist()) / abs(s) if s else math.inf
 
 
 # ---------------------------------------------------------------------------

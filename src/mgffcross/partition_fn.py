@@ -244,6 +244,7 @@ def fused_pure_partition(p: LinkPattern) -> MonomialCombo:
 # Total partition function and the ground-state pairing
 
 
+@lru_cache(maxsize=None)
 def z_mgff_total(npoints: int) -> MonomialCombo:
     """Total partition function in fused variables y_1..y_npoints:
     prod_{i<j} (y_j - y_i)^(2 (-1)^(j-i)).  Equals the sum of Zhat over
@@ -258,6 +259,7 @@ def z_mgff_total(npoints: int) -> MonomialCombo:
     return MonomialCombo.from_doubled(1, exps)
 
 
+@lru_cache(maxsize=None)
 def omega_pairing(npoints: int) -> PairPartition:
     """Pairing of the ground-state path: {4j+1, 4j+4} and {4j+2, 4j+3}."""
     pairs = []

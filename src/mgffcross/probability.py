@@ -7,10 +7,11 @@ touching prescribed boundary arcs) are ratios Zhat_pattern / Z_total in
 the fused variables.
 
 For a rectangle with alternating-sign boundary arcs the marked points
-are carried to the real line by the elliptic modular map of the
-rectangle onto the upper half plane; the aspect ratio enters through
-the modulus k solving K(k')/K(k) = 2/L, and the corner cross-ratio is
-q = ((1-k)/(1+k))^2.
+are carried to the real line by the elliptic map of the rectangle onto
+the upper half plane.  Its moduli k, k' (with K(k')/K(k) = 2/L) and
+the corner cross-ratio q(L) = lambda(iL) are theta-series quotients
+(DLMF 20.2, 23.15); the duality L <-> 1/L keeps the nome at most e^(-pi),
+so five terms reach full float precision at any ratio.
 
 The cluster dictionary at the end converts a pair of arc partitions
 (which positive arcs are wired together, which negative arcs) into the
@@ -75,6 +76,17 @@ def crossing_probability(p: LinkPattern, y, dps: int | None = None):
     return num / den
 
 
+@lru_cache(maxsize=None)
+def _numerators(npoints: int) -> tuple[tuple[LinkPattern, coulomb.MonomialCombo | None], ...]:
+    """Every valence-2 pattern on `npoints` points with its fused partition
+    function, or None when the lift is unreachable (probability zero)."""
+    om = partition_fn.omega_pairing(npoints)
+    return tuple(
+        (p, partition_fn.fused_pure_partition(p) if incidence.arrow_relation(om, tau(p)) else None)
+        for p in enumerate_link_patterns((2,) * npoints)
+    )
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Full crossing-pattern distribution at a point configuration."""
@@ -102,10 +114,21 @@ class OutcomeDistribution:
 
 
 def outcome_distribution(npoints: int, y, dps: int | None = None) -> OutcomeDistribution:
-    """Distribution over all valence-2 patterns on `npoints` marked points."""
-    pats = enumerate_link_patterns((2,) * npoints)
-    probs = tuple(float(crossing_probability(p, y, dps=dps)) for p in pats)
-    return OutcomeDistribution(pats, probs)
+    """Distribution over all valence-2 patterns on `npoints` marked points;
+    entry by entry the division `crossing_probability` does."""
+    ys = as_point_dict(y)
+    den = coulomb.evaluate(partition_fn.z_mgff_total(npoints), ys, dps=dps)
+    table = _numerators(npoints)
+    probs = tuple(
+        0.0 if num is None else float(coulomb.evaluate(num, ys, dps=dps) / den) for _, num in table
+    )
+    return OutcomeDistribution(tuple(p for p, _ in table), probs)
+
+
+def condition(npoints: int, y) -> float:
+    """Largest summation condition number over the reachable numerators at y."""
+    ys = as_point_dict(y)
+    return max(coulomb.condition(num, ys) for _, num in _numerators(npoints) if num is not None)
 
 
 def cross_ratio(y) -> float:
@@ -178,60 +201,36 @@ class RectanglePolygon:
         return (0.0, 2.0 * L + 2.0 - s)
 
 
-def _agm(a: float, b: float) -> float:
-    for _ in range(60):
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        if abs(a - b) <= 1e-17 * a:
-            break
-    return 0.5 * (a + b)
-
-
-def complete_elliptic_k(k: float) -> float:
-    """K(k) by the arithmetic-geometric mean, modulus (not parameter m)."""
-    if not 0.0 <= k < 1.0:
-        raise ValueError("modulus must lie in [0, 1)")
-    return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - k * k)))
-
-
-def solve_modulus(ratio: float) -> tuple[float, float]:
-    """Moduli (k, k') with K(k')/K(k) = ratio, by bisection.
-
-    The ratio decreases strictly from +inf at k=0 to 0 at k=1, so the
-    root is unique.  Bisection runs in t with k = sin t, k' = cos t so
-    that both moduli stay fully accurate even when one of them is tiny;
-    forming k' as sqrt(1-k^2) near k = 1 would lose half the digits.
-    """
-    if ratio <= 0 or not math.isfinite(ratio):
+def _theta_constants(ratio: float) -> tuple[float, float, float]:
+    """theta2, theta3, theta4 at z = 0 and nome e^(-pi a), a = max(ratio, 1/ratio)."""
+    if not (ratio > 0 and math.isfinite(ratio)):
         raise ValueError("ratio must be positive and finite")
+    a = max(ratio, 1.0 / ratio)
+    q, n = math.exp(-math.pi * a), range(5, 0, -1)  # smallest terms first
+    return (
+        2.0 * math.exp(-math.pi * a / 4.0) * (1.0 + sum(q ** (j * j + j) for j in n)),
+        1.0 + 2.0 * sum(q ** (j * j) for j in n),
+        1.0 + 2.0 * sum((-q) ** (j * j) for j in n),
+    )
 
-    def f(t: float) -> float:
-        # K(k) = pi / (2 agm(1, k')), so K(k')/K(k) = agm(1, k')/agm(1, k)
-        return _agm(1.0, math.cos(t)) / _agm(1.0, math.sin(t))
 
-    lo, hi = 0.0, math.pi / 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if f(mid) > ratio:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    k, kp = math.sin(t), math.cos(t)
-    if not (0.0 < k < 1.0 and 0.0 < kp < 1.0):
-        raise ValueError(f"ratio {ratio} out of solvable range")
-    return k, kp
+def theta_moduli(ratio: float) -> tuple[float, float, float, float]:
+    """(k, k', K, K') with K'/K = ratio: k = theta2^2/theta3^2, k' =
+    theta4^2/theta3^2 and K = (pi/2) theta3^2 at nome e^(-pi ratio); for
+    ratio < 1 the dual nome e^(-pi/ratio) gives k', k and K'."""
+    th2, th3, th4 = _theta_constants(ratio)
+    k, kp, K = (th2 / th3) ** 2, (th4 / th3) ** 2, 0.5 * math.pi * th3 * th3
+    return (k, kp, K, ratio * K) if ratio >= 1.0 else (kp, k, K / ratio, K)
 
 
 def cross_ratio_rectangle(L: float) -> float:
-    """Corner cross-ratio of the [0,L]x[0,1] rectangle: q = ((1-k)/(1+k))^2
-    with K(k')/K(k) = 2/L.  Satisfies q(1) = 1/2 and q(L) + q(1/L) = 1."""
-    k, kp = solve_modulus(2.0 / L)
-    if k <= 0.9:
-        return ((1.0 - k) / (1.0 + k)) ** 2
-    # near k = 1 write 1-k = k'^2/(1+k) to dodge the cancellation
-    return (kp * kp / (1.0 + k) ** 2) ** 2
+    """Corner cross-ratio of the [0,L]x[0,1] rectangle: q = theta2^4/theta3^4
+    at nome e^(-pi L), or 1 - q(1/L) = theta4^4/theta3^4 at e^(-pi/L) for
+    L < 1; over theta3^4 = theta2^4 + theta4^4 (DLMF 20.7.3), q(1) = 1/2
+    and q(L) + q(1/L) = 1 hold to rounding."""
+    th2, _, th4 = _theta_constants(L)
+    t2, t4 = th2**4, th4**4
+    return (t2 if L >= 1.0 else t4) / (t2 + t4)
 
 
 def _sn(u: float, k: float) -> float:
@@ -274,9 +273,7 @@ def rect_boundary_to_halfplane(R: RectanglePolygon) -> tuple[float, ...]:
     increasing finite configuration.  Moebius moves leave all
     probability ratios invariant.
     """
-    k, kp = solve_modulus(2.0 / R.L)
-    K = complete_elliptic_k(k)
-    Kp = complete_elliptic_k(kp)
+    k, kp, K, Kp = theta_moduli(2.0 / R.L)
     raw = [_halfplane_image(R, k, kp, K, Kp, s) for s in R.marks]
     finite = all(math.isfinite(w) for w in raw)
     increasing = finite and all(a < b for a, b in zip(raw, raw[1:]))
@@ -289,10 +286,10 @@ def rect_boundary_to_halfplane(R: RectanglePolygon) -> tuple[float, ...]:
         if math.isfinite(p) and all(w != p for w in raw):
             break
     else:
-        raise ValueError("could not place a Moebius pole in the boundary gap")
+        raise ArithmeticError("could not place a Moebius pole in the boundary gap")
     out = tuple(-1.0 / (w - p) if math.isfinite(w) else 0.0 for w in raw)
     if not all(a < b for a, b in zip(out, out[1:])):
-        raise ValueError("normalized images are not increasing")
+        raise ArithmeticError("normalized images are not increasing")
     return out
 
 

@@ -97,6 +97,18 @@ def test_prob_json(capsys):
     assert sum(o["prob"] for o in obj["outcomes"]) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_prob_json_reports_condition(capsys):
+    code, out, _ = run_cli(capsys, "prob", "--points", "0", "1", "2.5", "3", "4.2", "5", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["cond"] == pytest.approx(175.37, abs=0.01)
+    assert all("cond" not in o for o in obj["outcomes"])
+    code, out, _ = run_cli(capsys, "prob", "--points", "0", "1", "2", "3", "--json")
+    assert json.loads(out)["cond"] == pytest.approx(5.35, abs=0.01)
+    code, out, _ = run_cli(capsys, "prob", "--points", "0", "1", "2", "3")
+    assert code == 0 and "cond" not in out
+
+
 def test_prob_usage_errors(capsys):
     code, _, _ = run_cli(capsys, "prob", "--points", "0", "1", "2")  # odd count
     assert code == 2
@@ -112,6 +124,14 @@ def test_prob_usage_errors(capsys):
 def test_prob_negative_probability_fails(capsys):
     # float cancellation at L = 0.2 leaves the q^4 entry at about -1e-16
     code, out, err = run_cli(capsys, "prob", "--rectangle", "0.2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_prob_collapsed_rectangle_images_fail(capsys):
+    # at L = 25 the float images of the corners round onto -1, -1, 1, 1
+    code, out, err = run_cli(capsys, "prob", "--rectangle", "25")
     assert code == 1
     assert out == ""
     assert err.startswith("error:")

@@ -5,9 +5,12 @@ import mpmath
 import pytest
 
 import oracles
+from mgffcross import incidence, partition_fn
+from mgffcross.combinat import enumerate_link_patterns, tau
 from mgffcross.coulomb import (
     SERIES_ORDER_CAP,
     MonomialCombo,
+    condition,
     evaluate,
     fuse_pair,
     half_binomial,
@@ -76,6 +79,51 @@ def test_evaluate_mpmath_mode_and_positivity_guard():
     assert evaluate(g, {1: 4.0, 2: 0.0}) == -0.25  # integer powers are fine
     with pytest.raises((ValueError, ZeroDivisionError)):
         evaluate(g, {1: 1.0, 2: 1.0})
+
+
+def test_integer_powers_of_mixed_sign_bases_against_direct_product():
+    # x2 < x3 < x1 < x4: the bases of (1, 2) and (1, 3) are negative, all powers integral
+    x = {1: 2.5, 2: -0.75, 3: 1.25, 4: 3.0}
+    c = (
+        _m(F(3, 2), {(1, 2): F(1), (1, 3): F(-3), (3, 4): F(2)})
+        + _m(-5, {(1, 2): F(-2), (2, 3): F(1), (2, 4): F(-1)})
+        + _m(F(1, 7), {(1, 2): F(3), (1, 4): F(1), (2, 3): F(-2)})
+    )
+    d = lambda a, b: x[b] - x[a]
+    want = (
+        1.5 * d(1, 2) * d(1, 3) ** -3 * d(3, 4) ** 2
+        - 5 * d(1, 2) ** -2 * d(2, 3) / d(2, 4)
+        + d(1, 2) ** 3 * d(1, 4) * d(2, 3) ** -2 / 7
+    )
+    assert evaluate(c, x) == pytest.approx(want, rel=1e-14)
+    assert float(evaluate(c, x, dps=30)) == pytest.approx(want, rel=1e-14)
+
+
+def test_condition_number():
+    x = {1: 0.0, 2: 1.0, 3: 3.0}
+    f = _m(2, {(1, 2): F(1, 2), (2, 3): F(-1)})
+    assert condition(f, x) == 1.0
+    g = f + _m(-1, {(1, 3): F(1, 2)})  # the terms 1 and -sqrt(3)
+    want = (1 + math.sqrt(3)) / (math.sqrt(3) - 1)
+    assert condition(g, x) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("npoints", [4, 6])
+def test_float_route_within_condition_bound_of_mpmath(npoints):
+    # every reachable fused numerator: |float - exact| <= cond * 2^-53 * 8 * |exact|
+    om = partition_fn.omega_pairing(npoints)
+    combos = [
+        partition_fn.fused_pure_partition(p)
+        for p in enumerate_link_patterns((2,) * npoints)
+        if incidence.arrow_relation(om, tau(p))
+    ]
+    configs = [(0.0, 1.0, 2.5, 3.0, 4.2, 5.0)[:npoints], (-1.0, 0.1, 0.4, 2.0, 2.2, 7.5)[:npoints]]
+    for y in configs:
+        x = {i + 1: v for i, v in enumerate(y)}
+        for c in combos:
+            exact = evaluate(c, x, dps=50)
+            err = abs(evaluate(c, x) - exact) / abs(exact)
+            assert err <= condition(c, x) * 2.0**-53 * 8
 
 
 def test_rename_orientation_rules():

@@ -3,9 +3,10 @@
 import math
 import random
 
+import mpmath
 import pytest
 
-from mgffcross import incidence, partition_fn
+from mgffcross import coulomb, incidence, partition_fn
 from mgffcross.combinat import enumerate_link_patterns, enumerate_pairings, tau
 from mgffcross.errors import IncompatiblePartitionsError
 from mgffcross.probability import (
@@ -22,7 +23,7 @@ from mgffcross.probability import (
     pattern_from_cluster_partitions,
     rect_boundary_to_halfplane,
     rectangle_distribution,
-    solve_modulus,
+    theta_moduli,
 )
 
 from oracles import theta_modulus_from_ratio
@@ -146,6 +147,29 @@ def test_crossing_probability_mobius_invariant():
             )
 
 
+@pytest.mark.parametrize("npoints", [4, 6])
+def test_probabilities_are_the_plain_ratio_of_evaluations(npoints):
+    # the benchmark's replay divides the two evaluations itself and
+    # expects the program's probabilities bit for bit
+    rng = random.Random(60 + npoints)
+    total = partition_fn.z_mgff_total(npoints)
+    om = partition_fn.omega_pairing(npoints)
+    for _ in range(3):
+        y = random_points(npoints, rng)
+        ys = {i + 1: v for i, v in enumerate(y)}
+        dist = outcome_distribution(npoints, y)
+        for p, prob in zip(dist.patterns, dist.probs):
+            if incidence.arrow_relation(om, tau(p)):
+                fused = partition_fn.fused_pure_partition(p)
+                want = float(coulomb.evaluate(fused, ys) / coulomb.evaluate(total, ys))
+                twin = coulomb.MonomialCombo(dict(fused.terms))
+                assert coulomb.evaluate(twin, ys) == coulomb.evaluate(fused, ys)
+            else:
+                want = 0.0
+            assert crossing_probability(p, y) == want
+            assert prob == want
+
+
 def test_prob_of_and_json():
     y = (0.0, 1.0, 2.0, 3.0)
     dist = outcome_distribution(4, y)
@@ -199,33 +223,57 @@ def test_connection_probability_from_rainbow():
 
 
 def test_solve_modulus_square():
-    k, kp = solve_modulus(1.0)
+    k, kp, K, Kp = theta_moduli(1.0)
     assert k == pytest.approx(math.sqrt(0.5), rel=1e-14)
     assert kp == pytest.approx(math.sqrt(0.5), rel=1e-14)
+    assert K == pytest.approx(Kp, rel=1e-15)
 
 
 @pytest.mark.parametrize("ratio", [0.2, 0.5, 1.0, 1.7, 3.0, 8.0])
 def test_solve_modulus_against_theta_oracle(ratio):
-    k, kp = solve_modulus(ratio)
+    k, kp, K, Kp = theta_moduli(ratio)
     assert k == pytest.approx(theta_modulus_from_ratio(ratio), rel=1e-12, abs=1e-15)
+    assert kp == pytest.approx(theta_modulus_from_ratio(1.0 / ratio), rel=1e-12, abs=1e-15)
     assert k * k + kp * kp == pytest.approx(1.0, rel=1e-14)
+    assert Kp / K == pytest.approx(ratio, rel=1e-14)
+    with mpmath.workdps(30):
+        # K = (pi/2) theta3^2 at the nome e^(-pi ratio)
+        want = mpmath.pi / 2 * mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * ratio)) ** 2
+    assert K == pytest.approx(float(want), rel=1e-13)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_solve_modulus_rejects_bad_ratio(bad):
     with pytest.raises(ValueError):
-        solve_modulus(bad)
+        theta_moduli(bad)
 
 
 def test_cross_ratio_rectangle_square():
     assert cross_ratio_rectangle(1.0) == pytest.approx(0.5, rel=1e-14)
 
 
-@pytest.mark.parametrize("L", [0.2, 0.5, 0.8, 1.3, 2.0, 5.0])
+@pytest.mark.parametrize("L", [0.2, 0.5, 0.8, 1.3, 2.0, 5.0, 1 / 25, 1 / 10, 15.0])
 def test_cross_ratio_rectangle_duality(L):
     assert cross_ratio_rectangle(L) + cross_ratio_rectangle(1.0 / L) == pytest.approx(
-        1.0, abs=1e-12
+        1.0, abs=1e-15
     )
+
+
+def _lambda_mp(L):
+    """q(L) and 1 - q(L) in mpmath, from the theta constants at nome e^(-pi L)."""
+    with mpmath.workdps(60):
+        nome = mpmath.exp(-mpmath.pi * mpmath.mpf(L))
+        th2, th3, th4 = (mpmath.jtheta(j, 0, nome) for j in (2, 3, 4))
+        return float((th2 / th3) ** 4), float((th4 / th3) ** 4)
+
+
+@pytest.mark.parametrize("L", [1 / 25, 1 / 10, 0.15, 0.5, 1.0, 2.0, 12.0, 20.0, 25.0])
+def test_cross_ratio_rectangle_against_jtheta(L):
+    q, one_minus_q = _lambda_mp(L)
+    assert cross_ratio_rectangle(L) == pytest.approx(q, rel=1e-12)
+    # 1 - q through the dual ratio keeps its digits where 1 - q underflows
+    # against 1 (about 1e-33 at L = 1/25)
+    assert cross_ratio_rectangle(1.0 / L) == pytest.approx(one_minus_q, rel=1e-12)
 
 
 def test_cross_ratio_rectangle_monotone():
@@ -265,7 +313,7 @@ def test_halfplane_images_of_corners():
     for L in (0.5, 1.0, 2.0):
         R = RectanglePolygon.corners(L)
         y = rect_boundary_to_halfplane(R)
-        k, _ = solve_modulus(2.0 / L)
+        k, _, _, _ = theta_moduli(2.0 / L)
         assert y[0] == pytest.approx(-1.0 / k, rel=1e-9)
         assert y[1] == pytest.approx(-1.0, rel=1e-9)
         assert y[2] == pytest.approx(1.0, rel=1e-9)
