@@ -198,7 +198,12 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_simulate(args, argv: list[str]) -> int:
-    from .mgff_sim import experiment
+    from importlib.metadata import version
+
+    import numpy
+    import scipy
+
+    from .mgff_sim import experiment, kernels
     from .probability import RectanglePolygon
 
     r = _Resolver(args)
@@ -255,6 +260,22 @@ def _cmd_simulate(args, argv: list[str]) -> int:
         "seed": cfg.seed,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [csv_path, json_path],
+        "runtime": {
+            "kernel": kernels.resolve_kernel(cfg.kernel),
+            "threads": experiment.worker_count(cfg),
+            "cpu_count": os.cpu_count(),
+            "versions": {
+                "numpy": numpy.__version__,
+                "scipy": scipy.__version__,
+                "mpmath": version("mpmath"),  # not imported by simulate
+            },
+            "meshes": [
+                {"mu": rep.config.mu, "ny": m.ny, "wall_s": m.wall_s,
+                 "trials_per_s": cfg.trials / m.wall_s}
+                for rep in reports
+                for m in rep.meshes
+            ],
+        },
     }
     with open(man_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

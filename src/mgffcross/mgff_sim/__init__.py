@@ -22,24 +22,3 @@ from .lattice import (
     laplacian_residual,
 )
 
-__all__ = [
-    "MU_LAT_DEFAULT",
-    "ExperimentReport",
-    "LatticeField",
-    "LatticeSpec",
-    "MeshResult",
-    "SimConfig",
-    "boundary_values",
-    "build_lattice",
-    "dirichlet_eigenvalues",
-    "edge_open_probability",
-    "harmonic_extension",
-    "laplacian_residual",
-    "pair_bit",
-    "partition_mask",
-    "percolate_batch",
-    "resolve_kernel",
-    "run_experiment",
-    "sweep_mu",
-    "wilson_interval",
-]

@@ -10,16 +10,20 @@ the continuum) are counted in a separate anomaly bucket.
 
 Reproducibility: trial t of mesh index m uses an independent Philox
 stream keyed (seed, m * trials + t), drawing its interior normals first
-and its edge uniforms second.  Results are therefore independent of
-chunking and thread count, and byte-identical across runs.
+and its edge uniforms second.  Each chunk builds one generator and
+re-keys it per trial, resetting counter and buffer, so every trial sees
+exactly the stream of a fresh Philox with its key.  Results are
+therefore independent of chunking and thread count, and byte-identical
+across runs.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,6 +106,8 @@ class MeshResult:
     freqs: tuple[float, ...]
     ci_low: tuple[float, ...]
     ci_high: tuple[float, ...]
+    # wall seconds of the mesh's trials; for the manifest, not the outputs
+    wall_s: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -169,9 +175,32 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _trial_stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def worker_count(cfg: SimConfig) -> int:
+    """Worker threads a mesh of `cfg` runs on: one per cpu when
+    cfg.threads is 0, and never more than there are chunks."""
+    return min(cfg.threads or os.cpu_count() or 1, -(-cfg.trials // cfg.chunk))
+
+
+def _draw_chunk(
+    seed: int, first: int, count: int, shape: tuple[int, int], nE: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interior normals (count, *shape) and edge uniforms (count, nE) of
+    trials first .. first+count-1, trial i drawing from the Philox stream
+    keyed (seed, i), normals first.  One generator is re-keyed per trial:
+    a zero counter and an empty buffer make its stream exactly that of a
+    fresh Philox(key=(seed, i))."""
+    normals = np.empty((count,) + shape)
+    uniforms = np.empty((count, nE))
+    bg = np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64))
+    g = np.random.Generator(bg)
+    state = bg.state  # zero counter, empty buffer; drawing leaves this copy alone
+    key = state["state"]["key"]
+    for i in range(count):
+        key[1] = (first + i) % 2**64
+        bg.state = state
+        g.standard_normal(out=normals[i])
+        g.random(out=uniforms[i])
+    return normals, uniforms
 
 
 def _run_mesh(
@@ -184,19 +213,14 @@ def _run_mesh(
 ) -> tuple[LatticeSpec, np.ndarray]:
     spec = build_lattice(R, ny)
     harm = harmonic_extension(spec, cfg.mu).values
-    nE = spec.n_edges
-    m, n = spec.interior_shape
     base = mesh_index * cfg.trials
 
     def do_chunk(bounds: tuple[int, int]) -> np.ndarray:
         t0, t1 = bounds
         B = t1 - t0
-        normals = np.empty((B, m, n))
-        uniforms = np.empty((B, nE))
-        for i, t in enumerate(range(t0, t1)):
-            g = _trial_stream(cfg.seed, base + t)
-            normals[i] = g.standard_normal((m, n))
-            uniforms[i] = g.random(nE)
+        normals, uniforms = _draw_chunk(
+            cfg.seed, base + t0, B, spec.interior_shape, spec.n_edges
+        )
         fields = np.broadcast_to(harm, (B,) + harm.shape).copy()
         fields[:, 1:-1, 1:-1] += interior_noise_to_field(spec, normals)
         pos, neg = percolate_batch(
@@ -211,8 +235,8 @@ def _run_mesh(
         (t0, min(t0 + cfg.chunk, cfg.trials)) for t0 in range(0, cfg.trials, cfg.chunk)
     ]
     counts = np.zeros(npatterns + 1, dtype=np.int64)
-    workers = cfg.threads or os.cpu_count() or 1
-    if workers > 1 and len(chunks) > 1:
+    workers = worker_count(cfg)
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             for c in ex.map(do_chunk, chunks):
                 counts += c
@@ -237,7 +261,9 @@ def run_experiment(R: RectanglePolygon, cfg: SimConfig) -> ExperimentReport:
 
     results = []
     for mi, ny in enumerate(cfg.meshes):
+        t0 = time.perf_counter()
         spec, counts = _run_mesh(R, cfg, mi, ny, table, len(patterns))
+        wall = time.perf_counter() - t0
         tot = cfg.trials
         freqs = tuple(int(c) / tot for c in counts[:-1])
         cis = [wilson_interval(int(c), tot) for c in counts[:-1]]
@@ -252,6 +278,7 @@ def run_experiment(R: RectanglePolygon, cfg: SimConfig) -> ExperimentReport:
                 freqs=freqs,
                 ci_low=tuple(lo for lo, _ in cis),
                 ci_high=tuple(hi for _, hi in cis),
+                wall_s=wall,
             )
         )
     return ExperimentReport(R, cfg, patterns, theory, tuple(results))

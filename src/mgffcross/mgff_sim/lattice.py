@@ -9,6 +9,10 @@ starting with positive for (y_1 -> y_2).
 
 Edges carry unit conductance.  The discrete Laplacian is the plain
 5-point sum over neighbors, with Dirichlet rows on the boundary.
+
+For percolation the lattice is laid out as its doubled grid: vertex
+(r, c) at site (2r, 2c), its edge to the right or upper neighbour at
+(2r, 2c+1) or (2r+1, 2c), and site (row, col) at flat index row*(2nx+1)+col.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ class LatticeSpec:
     marked_walk: tuple[int, ...]  # walk index of each marked point
     snap_err: float             # max distance moved when snapping marks
     walk: np.ndarray = field(repr=False, default=None)  # (P,) boundary vertex ids
+    forced_sites: np.ndarray = field(repr=False, default=None)  # sites of edges inside one arc
+    arc_sites: np.ndarray = field(repr=False, default=None)  # (2N,) site of each arc's first vertex
 
     @property
     def nv(self) -> int:
@@ -115,6 +121,16 @@ def build_lattice(R: RectanglePolygon, ny: int) -> LatticeSpec:
     edge_a = np.concatenate(ea).astype(np.int32)
     edge_b = np.concatenate(eb).astype(np.int32)
 
+    # doubled-grid sites: an edge inside one arc is held open, which
+    # joins the arc into one cluster; each arc is read at its first vertex
+    width = 2 * nx + 1
+    ra, ca = np.divmod(edge_a.astype(np.int64), cols)
+    rb, cb = np.divmod(edge_b.astype(np.int64), cols)
+    inside = (arc_of[edge_a] >= 0) & (arc_of[edge_a] == arc_of[edge_b])
+    forced_sites = ((ra + rb) * width + ca + cb)[inside]
+    r0, c0 = np.divmod(walk[marked], cols)
+    arc_sites = 2 * r0 * width + 2 * c0
+
     return LatticeSpec(
         R=R,
         ny=ny,
@@ -127,29 +143,39 @@ def build_lattice(R: RectanglePolygon, ny: int) -> LatticeSpec:
         marked_walk=tuple(marked),
         snap_err=snap,
         walk=walk,
+        forced_sites=forced_sites,
+        arc_sites=arc_sites,
     )
 
 
-def open_probabilities(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:
-    """(B, nE) opening probabilities of every edge, in the edge order of
-    `build_lattice`, from (B, nV) field values.
+def open_site_image(spec: LatticeSpec, values: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """(B * (2ny+2), 2nx+1) bool image of the open edges of B trials,
+    from (B, nV) field values and (B, nE) uniforms in the edge order of
+    `build_lattice`: horizontal edges row by row, then vertical ones.
 
-    Endpoint products come from grid slices (horizontal edges row by
-    row, then vertical ones), and 1 - exp(-2ab) is formed in place.  A
-    product <= 0 gives a value <= 0, so no uniform in [0, 1) opens that
-    edge: the same open set as `edge_open_probability`.
+    Each trial is its doubled grid plus one empty row, so that the B
+    blocks stacked as one image touch nowhere.  Vertex sites are on.  An
+    edge site is on when its uniform lies below 1 - exp(-2ab), formed in
+    place from grid slices of the endpoint values (a product <= 0 opens
+    nothing, as in `edge_open_probability`), or when the edge lies inside
+    one boundary arc.
     """
     B = values.shape[0]
     ny, nx = spec.ny, spec.nx
-    grid = values.reshape(B, ny + 1, nx + 1)
     nh = (ny + 1) * nx
-    p = np.empty((B, spec.n_edges))
-    np.multiply(grid[:, :, :-1], grid[:, :, 1:], out=p[:, :nh].reshape(B, ny + 1, nx))
-    np.multiply(grid[:, :-1, :], grid[:, 1:, :], out=p[:, nh:].reshape(B, ny, nx + 1))
-    np.multiply(p, -2.0, out=p)
-    np.expm1(p, out=p)
-    np.negative(p, out=p)
-    return p
+    grid = values.reshape(B, ny + 1, nx + 1)
+    img = np.zeros((B, 2 * ny + 2, 2 * nx + 1), dtype=bool)
+    img[:, :-1:2, ::2] = True
+    for p, u, sites in (
+        (grid[:, :, :-1] * grid[:, :, 1:], uniforms[:, :nh], img[:, :-1:2, 1::2]),
+        (grid[:, :-1, :] * grid[:, 1:, :], uniforms[:, nh:], img[:, 1:-1:2, ::2]),
+    ):
+        np.multiply(p, -2.0, out=p)
+        np.expm1(p, out=p)
+        np.negative(p, out=p)
+        np.less(u.reshape(p.shape), p, out=sites)
+    img.reshape(B, -1)[:, spec.forced_sites] = True
+    return img.reshape(-1, 2 * nx + 1)
 
 
 @dataclass

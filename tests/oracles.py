@@ -4,9 +4,10 @@ Everything here deliberately avoids the production code paths: brute
 force enumeration instead of recursive constructions, sympy symbolic
 series instead of the hand-rolled expansion, repeated pairwise fusion
 instead of the grouped closed form, dense sparse-matrix solves
-instead of the DST solver, one percolation graph per trial instead of
-the block-diagonal chunk graph, and an exact-skeleton Brownian bridge
-estimator instead of the closed-form crossing probability.
+instead of the DST solver, one sparse percolation graph per trial
+instead of the labelled site image of a chunk, a fresh generator per
+trial instead of one re-keyed per chunk, and an exact-skeleton Brownian
+bridge estimator instead of the closed-form crossing probability.
 """
 
 from __future__ import annotations
@@ -270,6 +271,13 @@ def bridge_same_sign_probability(a: float, b: float, samples: int, rng, steps: i
     seg = np.where(v0 * v1 > 0, -np.expm1(-2.0 * v0 * v1 / dt), 0.0)
     est = seg.prod(axis=1)
     return float(est.mean()), float(est.std(ddof=1) / math.sqrt(samples))
+
+
+def trial_stream(seed: int, index: int) -> np.random.Generator:
+    """The reference stream of one Monte-Carlo trial: a fresh Philox
+    generator keyed (seed, index), both reduced mod 2**64."""
+    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def percolate_per_trial(values, uniforms, spec):

@@ -1,9 +1,16 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import os
+import subprocess
+import sys
 
+import mpmath
+import numpy
 import pytest
+import scipy
 
+import mgffcross
 from mgffcross.cli import main
 
 
@@ -181,6 +188,32 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert "timestamp" in man and man["version"]
 
 
+def test_simulate_manifest_records_runtime(tmp_path, capsys):
+    out = tmp_path / "run"
+    code, _, _ = run_cli(
+        capsys, *SIM_ARGS, "--mesh", "6", "--mu", "1.0", "--mu", "1.5",
+        "--threads", "0", "--out", str(out),
+    )
+    assert code == 0
+    man = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert man["config"]["kernel"] == "auto" and man["config"]["threads"] == 0
+    rt = man["runtime"]
+    assert rt["kernel"] == "numpy"
+    assert rt["cpu_count"] == os.cpu_count()
+    # 150 trials in chunks of 64 make three chunks: never more workers
+    assert rt["threads"] == min(os.cpu_count(), 3)
+    assert rt["versions"] == {
+        "numpy": numpy.__version__, "scipy": scipy.__version__, "mpmath": mpmath.__version__,
+    }
+    assert [(m["mu"], m["ny"]) for m in rt["meshes"]] == [(1.0, 4), (1.0, 6), (1.5, 4), (1.5, 6)]
+    for m in rt["meshes"]:
+        assert m["wall_s"] > 0
+        assert m["trials_per_s"] == pytest.approx(150 / m["wall_s"])
+    # timings stay out of the primary outputs
+    assert "wall" not in (tmp_path / "run.json").read_text()
+    assert "wall" not in (tmp_path / "run.csv").read_text()
+
+
 def test_simulate_outputs_are_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
@@ -323,3 +356,17 @@ def test_unknown_subcommand(capsys):
 def test_no_arguments(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+def test_simulate_imports_no_sparse_graph_code():
+    # scipy.sparse adds about 80 ms to a fresh import of the simulate path
+    src = os.path.dirname(os.path.dirname(mgffcross.__file__))
+    code = (
+        "import sys, mgffcross.cli, mgffcross.mgff_sim; "
+        "print('scipy.sparse' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

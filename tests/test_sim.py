@@ -22,7 +22,7 @@ from mgffcross.mgff_sim.experiment import (
     MU_LAT_DEFAULT,
     ExperimentReport,
     SimConfig,
-    _trial_stream,
+    _draw_chunk,
     partition_mask,
     run_experiment,
     sweep_mu,
@@ -35,6 +35,7 @@ from oracles import (
     dense_harmonic_extension,
     mask_to_partition,
     percolate_per_trial,
+    trial_stream,
 )
 
 SQUARE = RectanglePolygon.corners(1.0)
@@ -88,6 +89,40 @@ def test_mark_snapping():
     with pytest.raises(ValueError):
         # marks 0.01 apart land on the same vertex at mesh 1/4
         build_lattice(RectanglePolygon(1.0, (3.0, 0.0, 1.0, 1.01)), 4)
+
+
+def _one_vertex_arcs(ny):
+    # y_2, y_3, y_4 snap to consecutive boundary vertices: the negative
+    # arc y_2 -> y_3 and the positive arc y_3 -> y_4 hold one vertex each
+    d = 1.0 / ny
+    return RectanglePolygon(1.0, (3.0, 0.0, d, 2 * d, 1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "R, shortest",
+    [(RectanglePolygon(1.5, (4.5, 0.0, 0.25, 1.75, 2.0, 3.0)), 2), (_one_vertex_arcs(8), 1)],
+)
+def test_site_layout_of_arcs(R, shortest):
+    # arc k is read at the doubled-grid site of its first vertex, and
+    # every boundary edge except the one at each mark is held open
+    spec = build_lattice(R, 8)
+    width = 2 * spec.nx + 1
+    for k, site in enumerate(spec.arc_sites.tolist()):
+        r, c = divmod(site, width)
+        assert r % 2 == 0 and c % 2 == 0
+        assert spec.arc_of[spec.vertex(r // 2, c // 2)] == k
+        assert spec.arc_of[spec.walk[spec.marked_walk[k]]] == k
+    walk = spec.walk.tolist()
+    ends = zip(walk, walk[1:] + walk[:1])
+    want = set()
+    for a, b in ends:
+        if spec.arc_of[a] == spec.arc_of[b]:
+            (ra, ca), (rb, cb) = divmod(a, spec.nx + 1), divmod(b, spec.nx + 1)
+            want.add((ra + rb) * width + ca + cb)
+    assert len(want) == len(walk) - spec.narcs
+    assert sorted(spec.forced_sites.tolist()) == sorted(want)
+    sizes = np.bincount(spec.arc_of[spec.arc_of >= 0], minlength=spec.narcs)
+    assert sizes.min() == shortest
 
 
 def test_lattice_rejects_degenerate_meshes():
@@ -252,9 +287,15 @@ MARKED = {
 @pytest.mark.parametrize("ny", [4, 8, 16])
 @pytest.mark.parametrize("npts", [4, 6, 8])
 def test_percolate_batch_matches_per_trial_oracle(npts, ny, mu):
-    spec = build_lattice(MARKED[npts], ny)
-    rng = np.random.default_rng(100 * ny + npts)
-    B = 64
+    pos, neg = _oracle_case(MARKED[npts], ny, 64, 100 * ny + npts, mu)
+    assert len(set(pos.tolist())) + len(set(neg.tolist())) > 2  # not all trials alike
+
+
+def _oracle_case(R, ny, B, seed, mu=MU_LAT_DEFAULT):
+    """Masks of B random trials, after checking them bit for bit against
+    the per-trial oracle."""
+    spec = build_lattice(R, ny)
+    rng = np.random.default_rng(seed)
     harm = harmonic_extension(spec, mu).values
     z = rng.standard_normal((B,) + spec.interior_shape)
     fields = np.broadcast_to(harm, (B,) + harm.shape).copy()
@@ -265,7 +306,31 @@ def test_percolate_batch_matches_per_trial_oracle(npts, ny, mu):
     pos_ref, neg_ref = percolate_per_trial(vb, uniforms, spec)
     assert (pos == pos_ref).all()
     assert (neg == neg_ref).all()
-    assert len(set(pos.tolist())) + len(set(neg.tolist())) > 2  # not all trials alike
+    return pos, neg
+
+
+@pytest.mark.parametrize(
+    "R, ny, B",
+    [
+        (MARKED[4], 32, 64),
+        (MARKED[6], 32, 64),
+        (MARKED[8], 32, 64),
+        (RectanglePolygon.corners(0.5), 16, 64),
+        (RectanglePolygon.corners(0.5), 32, 64),
+        (RectanglePolygon.corners(2.0), 16, 64),
+        (RectanglePolygon.corners(2.0), 32, 64),
+        (_one_vertex_arcs(8), 8, 64),
+        (_one_vertex_arcs(16), 16, 64),
+        (MARKED[4], 16, 1),
+        (MARKED[6], 8, 1),
+    ],
+    ids=["4pt-32", "6pt-32", "8pt-32", "L0.5-16", "L0.5-32", "L2-16", "L2-32",
+         "one-vertex-arcs-8", "one-vertex-arcs-16", "B1-4pt", "B1-6pt"],
+)
+def test_percolate_batch_matches_oracle_on_more_geometries(R, ny, B):
+    pos, neg = _oracle_case(R, ny, B, seed=ny + B)
+    if B > 1:
+        assert len(set(pos.tolist())) + len(set(neg.tolist())) > 2
 
 
 def _planted_state(interior_sign, mu=2.0, ny=4):
@@ -332,11 +397,28 @@ def base_config(**kw):
 
 
 def test_trial_streams_are_reproducible():
-    a = _trial_stream(9, 4).standard_normal(5)
-    b = _trial_stream(9, 4).standard_normal(5)
-    c = _trial_stream(9, 5).standard_normal(5)
+    a = trial_stream(9, 4).standard_normal(5)
+    b = trial_stream(9, 4).standard_normal(5)
+    c = trial_stream(9, 5).standard_normal(5)
     assert (a == b).all()
     assert not (a == c).all()
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**63 + 5, 2**64 + 3])
+@pytest.mark.parametrize("first", [0, 1234, 2**64 - 3])
+@pytest.mark.parametrize("shape, nE", [((3, 3), 24), ((3, 5), 7), ((1, 1), 1)])
+def test_chunk_draws_match_fresh_per_trial_streams(seed, first, shape, nE):
+    # odd draw counts leave half a Philox block buffered, which a
+    # re-keyed generator must not carry into the next trial
+    count = 6
+    normals, uniforms = _draw_chunk(seed, first, count, shape, nE)
+    assert normals.shape == (count,) + shape and uniforms.shape == (count, nE)
+    for i in range(count):
+        g = trial_stream(seed, first + i)
+        assert normals[i].tobytes() == g.standard_normal(shape).tobytes()
+        assert uniforms[i].tobytes() == g.random(nE).tobytes()
+    if first == 2**64 - 3:  # the trial index wraps inside the chunk
+        assert (normals[3] == trial_stream(seed, 0).standard_normal(shape)).all()
 
 
 def test_run_experiment_counts_are_conserved():
