@@ -15,10 +15,18 @@ verifying that every lower order cancels exactly.  Since only the
 (u, v) factor is singular at eps = 0, each monomial contributes a
 generalized binomial expansion of its regular factors, and everything
 stays inside the same monomial class.
+
+Evaluation goes through `Compiled`, a table of one or more combos over
+the union of their pairs: one difference per pair, one `pow` per (pair,
+power), a gather, one product per row in pair order and one `math.fsum`
+per combo.  `evaluate` and `condition` use the one-combo table cached on
+a combo; a caller that needs several combos at the same point builds
+one table over all of them and gets each combo's bits unchanged.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from numbers import Rational
@@ -29,6 +37,9 @@ from .errors import DivergenceError, TruncationLimitError
 
 # Hard cap on how deep a series is developed past its leading order.
 SERIES_ORDER_CAP = 16
+
+# Terms of a compiled table gathered at once: bounds the temporary.
+GATHER_ROWS = 4096
 
 Pair = tuple[int, int]
 ExpKey = tuple[tuple[Pair, int], ...]
@@ -238,28 +249,48 @@ class MonomialCombo:
 # Evaluation
 
 
-class _Compiled:
-    """A combo as a table over its pairs: term t is coef[t] * prod_j
-    d_j^(e2[t, j]/2), where slots[t, j] points at that power in the
-    (pairs x powers) table each evaluation fills with one `pow` apiece."""
+class Compiled:
+    """Combos as one table over the union of their pairs.  Term t is
+    coef[t] * prod_j d_j^(e2[t, j]/2) and combo i owns the terms spans[i].
+    Each evaluation fills a (pairs x powers) table with one `pow` apiece;
+    slots holds, pair-major in blocks of GATHER_ROWS terms, where each
+    factor sits in it.  A pair a combo lacks has e2 = 0 and gathers d^0 =
+    1.0, an exact factor, so a combo's sums keep their bits in any table
+    that holds it; one combo is the one-span case."""
 
-    __slots__ = ("pairs", "low", "powers", "odd", "slots", "coef", "exact")
+    __slots__ = ("pairs", "low", "powers", "odd", "slots", "coef", "exact", "spans")
 
-    def __init__(self, terms: dict[ExpKey, Fraction]):
-        # rows in dict order: each row's product and the exact fsum do not
-        # depend on it, so equal combos still evaluate to equal bits
-        self.pairs = tuple(sorted({pair for key in terms for pair, _ in key}))
+    def __init__(self, combos):
+        terms = [c.terms for c in combos]
+        ends = list(itertools.accumulate(map(len, terms)))
+        self.spans = tuple(zip([0] + ends[:-1], ends))
+        self.pairs = tuple(sorted({pair for t in terms for key in t for pair, _ in key}))
         col = {pair: j for j, pair in enumerate(self.pairs)}
-        e2 = np.zeros((len(terms), len(self.pairs)), dtype=np.int64)
-        e2.ravel()[[t * len(col) + col[p] for t, key in enumerate(terms) for p, _ in key]] = [
-            e for key in terms for _, e in key
-        ]
-        self.low = int(e2.min(initial=0))
-        self.powers = np.arange(self.low, int(e2.max(initial=0)) + 1) / 2
-        self.odd = tuple(np.flatnonzero((e2 % 2).any(axis=0)).tolist())  # half-integer powers
-        self.slots = e2 - self.low + len(self.powers) * np.arange(len(self.pairs))
-        self.exact = tuple(terms.values())
-        self.coef = np.array([float(c) for c in self.exact])
+        # terms in dict order: each term's product and the exact fsum do
+        # not depend on it, so equal combos still evaluate to equal bits
+        keys = [key for t in terms for key in t]
+        blocks = []
+        for i in range(0, len(keys), GATHER_ROWS):
+            chunk = keys[i : i + GATHER_ROWS]
+            e2 = np.zeros((len(self.pairs), len(chunk)), dtype=np.int64)
+            e2.ravel()[[col[p] * len(chunk) + r for r, key in enumerate(chunk) for p, _ in key]] = [
+                e for key in chunk for _, e in key
+            ]
+            blocks.append(e2)
+        self.low = min((int(b.min(initial=0)) for b in blocks), default=0)
+        high = max((int(b.max(initial=0)) for b in blocks), default=0)
+        self.powers = np.arange(self.low, high + 1) / 2
+        # half-integer powers: a pair with any odd exponent
+        odd = np.zeros(len(self.pairs), dtype=np.int64)
+        for e2 in blocks:
+            odd |= np.bitwise_or.reduce(e2, axis=1)
+        self.odd = tuple(np.flatnonzero(odd & 1).tolist())
+        shift = len(self.powers) * np.arange(len(self.pairs))[:, None] - self.low
+        for e2 in blocks:
+            e2 += shift
+        self.slots = tuple(blocks)
+        self.exact = tuple(c for t in terms for c in t.values())
+        self.coef = np.fromiter(map(float, self.exact), float, len(self.exact))
 
     def differences(self, values, conv) -> list:
         if not hasattr(values, "keys"):
@@ -277,38 +308,63 @@ class _Compiled:
 
     def float_terms(self, values) -> np.ndarray:
         d = np.array(self.differences(values, float))
+        terms = np.empty(len(self.coef))
         with np.errstate(all="ignore"):  # NaN powers of negative bases are never gathered
-            pw = np.power(d[:, None], self.powers)
-            # rows multiply in pair order, so equal combos give equal bits
-            terms = self.coef * pw.ravel()[self.slots].prod(axis=1)
+            pw = np.power(d[:, None], self.powers).ravel()
+            # each term multiplies its factors in pair order, so equal combos
+            # give equal bits; a block at a time keeps the temporary small
+            for i, block in zip(range(0, len(terms), GATHER_ROWS), self.slots):
+                np.multiply.reduce(pw[block], axis=0, out=terms[i : i + GATHER_ROWS])
+            terms *= self.coef
         if not np.isfinite(terms).all():
             raise OverflowError("a term leaves the float range")
         return terms
 
-    def mp_sum(self, values, dps: int):
+    def sums(self, values, dps: int | None = None) -> list:
+        """Each combo's value at x = values: floats summed by `math.fsum`,
+        or mpf with dps set."""
+        if dps is not None:
+            return self.mp_sums(values, dps)
+        terms = self.float_terms(values)
+        return [math.fsum(terms[a:b].tolist()) for a, b in self.spans]
+
+    def conditions(self, values) -> list[float]:
+        """Each combo's summation condition number sum|t_i| / |sum t_i|."""
+        terms = self.float_terms(values)
+        size, out = np.abs(terms), []
+        for a, b in self.spans:
+            s = math.fsum(terms[a:b].tolist())
+            out.append(math.fsum(size[a:b].tolist()) / abs(s) if s else math.inf)
+        return out
+
+    def mp_sums(self, values, dps: int) -> list:
         import mpmath
 
         with mpmath.workdps(dps):
             keep = lambda v: v if isinstance(v, mpmath.mpf) else mpmath.mpf(v)
             d = self.differences(values, keep)
-            W, pw, terms = len(self.powers), {}, []
-            for c, row in zip(self.exact, self.slots.tolist()):
-                t = mpmath.mpf(c.numerator) / c.denominator
-                for s in row:
-                    e2 = s % W + self.low
-                    if not e2:
-                        continue
-                    if s not in pw:
-                        q, half = divmod(e2, 2)
-                        pw[s] = d[s // W] ** q * (mpmath.sqrt(d[s // W]) if half else 1)
-                    t *= pw[s]
-                terms.append(t)
-            return mpmath.fsum(terms)
+            W, pw, sums = len(self.powers), {}, []
+            rows = (row for block in self.slots for row in block.T.tolist())
+            for a, b in self.spans:
+                terms = []
+                for c, row in zip(self.exact[a:b], itertools.islice(rows, b - a)):
+                    t = mpmath.mpf(c.numerator) / c.denominator
+                    for s in row:
+                        e2 = s % W + self.low
+                        if not e2:
+                            continue
+                        if s not in pw:
+                            q, half = divmod(e2, 2)
+                            pw[s] = d[s // W] ** q * (mpmath.sqrt(d[s // W]) if half else 1)
+                        t *= pw[s]
+                    terms.append(t)
+                sums.append(mpmath.fsum(terms))
+            return sums
 
 
-def _compiled(c: MonomialCombo) -> _Compiled:
+def _compiled(c: MonomialCombo) -> Compiled:
     if getattr(c, "_compiled", None) is None:
-        c._compiled = _Compiled(c.terms)
+        c._compiled = Compiled((c,))
     return c._compiled
 
 
@@ -317,17 +373,15 @@ def evaluate(c: MonomialCombo, values, dps: int | None = None):
     as labels 1..len) in float, or with dps set in mpmath (an mpf).
     Requires x_b - x_a nonzero on every used pair, and positive whenever
     the exponent is a strict half-integer."""
-    if dps is None:
-        return math.fsum(_compiled(c).float_terms(values).tolist())
-    return _compiled(c).mp_sum(values, dps)
+    (value,) = _compiled(c).sums(values, dps)
+    return value
 
 
 def condition(c: MonomialCombo, values) -> float:
     """Summation condition number sum|t_i| / |sum t_i| of c at values, in
     float: the factor by which the sum can amplify the terms' rounding."""
-    terms = _compiled(c).float_terms(values)
-    s = math.fsum(terms.tolist())
-    return math.fsum(np.abs(terms).tolist()) / abs(s) if s else math.inf
+    (cond,) = _compiled(c).conditions(values)
+    return cond
 
 
 # ---------------------------------------------------------------------------

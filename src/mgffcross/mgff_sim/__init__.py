@@ -19,6 +19,5 @@ from .lattice import (
     dirichlet_eigenvalues,
     edge_open_probability,
     harmonic_extension,
-    laplacian_residual,
 )
 

@@ -59,9 +59,6 @@ class LatticeSpec:
     def interior_shape(self) -> tuple[int, int]:
         return (self.ny - 1, self.nx - 1)
 
-    def vertex(self, row: int, col: int) -> int:
-        return row * (self.nx + 1) + col
-
 
 def _boundary_walk(ny: int, nx: int) -> np.ndarray:
     """Vertex ids along the ccw boundary starting at the origin corner."""
@@ -225,13 +222,6 @@ def harmonic_extension(spec: LatticeSpec, mu: float) -> LatticeField:
     interior = _dst2(_dst2(rhs) / dirichlet_eigenvalues(spec))
     grid[1:ny, 1:nx] = interior
     return LatticeField(spec, grid)
-
-
-def laplacian_residual(f: LatticeField) -> float:
-    """max over interior vertices of |4 u - sum of neighbors|."""
-    u = f.values
-    lap = 4.0 * u[1:-1, 1:-1] - u[:-2, 1:-1] - u[2:, 1:-1] - u[1:-1, :-2] - u[1:-1, 2:]
-    return float(np.max(np.abs(lap))) if lap.size else 0.0
 
 
 def interior_noise_to_field(spec: LatticeSpec, normals: np.ndarray) -> np.ndarray:

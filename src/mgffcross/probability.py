@@ -4,7 +4,10 @@ Connection probabilities of level lines started from a boundary pairing
 are ratios Z_beta / U_alpha weighted by the incidence matrix.  Crossing
 probabilities of the two-valued boundary structure (sign clusters
 touching prescribed boundary arcs) are ratios Zhat_pattern / Z_total in
-the fused variables.
+the fused variables.  `outcome_distribution` and `condition` read one
+compiled table per point count, holding Z_total and every reachable
+numerator, so one pass evaluates a configuration; each probability keeps
+the bits of `crossing_probability`'s division.
 
 For a rectangle with alternating-sign boundary arcs the marked points
 are carried to the real line by the elliptic map of the rectangle onto
@@ -87,6 +90,15 @@ def _numerators(npoints: int) -> tuple[tuple[LinkPattern, coulomb.MonomialCombo 
     )
 
 
+@lru_cache(maxsize=None)
+def _table(npoints: int) -> coulomb.Compiled:
+    """Z_total and the reachable numerators of `_numerators`, in that order,
+    as one table built from their terms: one pass evaluates them all, and
+    no numerator caches a table of its own."""
+    nums = (num for _, num in _numerators(npoints) if num is not None)
+    return coulomb.Compiled((partition_fn.z_mgff_total(npoints), *nums))
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Full crossing-pattern distribution at a point configuration."""
@@ -115,20 +127,18 @@ class OutcomeDistribution:
 
 def outcome_distribution(npoints: int, y, dps: int | None = None) -> OutcomeDistribution:
     """Distribution over all valence-2 patterns on `npoints` marked points;
-    entry by entry the division `crossing_probability` does."""
-    ys = as_point_dict(y)
-    den = coulomb.evaluate(partition_fn.z_mgff_total(npoints), ys, dps=dps)
+    entry by entry the division `crossing_probability` does, with the total
+    and every reachable numerator read from one compiled table."""
+    den, *nums = _table(npoints).sums(as_point_dict(y), dps)
+    nums = iter(nums)
     table = _numerators(npoints)
-    probs = tuple(
-        0.0 if num is None else float(coulomb.evaluate(num, ys, dps=dps) / den) for _, num in table
-    )
+    probs = tuple(0.0 if num is None else float(next(nums) / den) for _, num in table)
     return OutcomeDistribution(tuple(p for p, _ in table), probs)
 
 
 def condition(npoints: int, y) -> float:
     """Largest summation condition number over the reachable numerators at y."""
-    ys = as_point_dict(y)
-    return max(coulomb.condition(num, ys) for _, num in _numerators(npoints) if num is not None)
+    return max(_table(npoints).conditions(as_point_dict(y))[1:])
 
 
 def cross_ratio(y) -> float:

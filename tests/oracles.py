@@ -8,6 +8,8 @@ instead of the DST solver, one sparse percolation graph per trial
 instead of the labelled site image of a chunk, a fresh generator per
 trial instead of one re-keyed per chunk, and an exact-skeleton Brownian
 bridge estimator instead of the closed-form crossing probability.
+Two lattice helpers only tests need live here too: the vertex id of a
+grid point and the discrete Laplacian residual of a field.
 """
 
 from __future__ import annotations
@@ -199,6 +201,18 @@ def richardson_collapse(f, r: float, gaps=(1e-2, 1e-3, 1e-4), dps: int = 40, ste
 
 # ---------------------------------------------------------------------------
 # Lattice reference solves
+
+
+def lattice_vertex(spec, row: int, col: int) -> int:
+    """Vertex id of grid point (row, col) of a LatticeSpec."""
+    return row * (spec.nx + 1) + col
+
+
+def laplacian_residual(f) -> float:
+    """max over interior vertices of |4 u - sum of neighbors| of a LatticeField."""
+    u = f.values
+    lap = 4.0 * u[1:-1, 1:-1] - u[:-2, 1:-1] - u[2:, 1:-1] - u[1:-1, :-2] - u[1:-1, 2:]
+    return float(np.max(np.abs(lap))) if lap.size else 0.0
 
 
 def dense_interior_laplacian(shape: tuple[int, int]):

@@ -144,6 +144,14 @@ def test_prob_collapsed_rectangle_images_fail(capsys):
     assert err.startswith("error:")
 
 
+def test_prob_overflowing_points_fail(capsys):
+    # the cross ratio of 0 1 2 3, but the raw difference powers overflow
+    code, out, err = run_cli(capsys, "prob", "--points", "0", "1e200", "2e200", "3e200")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_prob_ten_points_is_over_capacity(capsys):
     # ten points lift to a pairing of 20 slots: Catalan(10) rows exceed the cap
     pts = [str(k) for k in range(10)]

@@ -9,6 +9,7 @@ from mgffcross import incidence, partition_fn
 from mgffcross.combinat import enumerate_link_patterns, tau
 from mgffcross.coulomb import (
     SERIES_ORDER_CAP,
+    Compiled,
     MonomialCombo,
     condition,
     evaluate,
@@ -106,6 +107,29 @@ def test_condition_number():
     g = f + _m(-1, {(1, 3): F(1, 2)})  # the terms 1 and -sqrt(3)
     want = (1 + math.sqrt(3)) / (math.sqrt(3) - 1)
     assert condition(g, x) == pytest.approx(want, rel=1e-12)
+
+
+def test_table_of_combos_gives_each_combo_its_own_bits():
+    # a table over the union of the pairs: each combo's sum, condition and
+    # mpmath value equal those of the combo compiled alone
+    f = _m(F(2, 3), {(1, 2): F(-1, 2), (2, 3): F(1, 2)}) + _m(F(-1, 7), {(1, 3): F(3)})
+    g = _m(F(5, 3), {(3, 4): F(-2), (1, 4): F(1, 2)}) + _m(3, {(2, 4): F(1)})
+    combos = (f, g, MonomialCombo.zero(), MonomialCombo.constant(F(1, 3)), f * g)
+    table = Compiled(combos)
+    x = {1: 0.3, 2: 1.7, 3: 2.2, 4: 5.1}
+    alone = [MonomialCombo(dict(c.terms)) for c in combos]
+    assert table.sums(x) == [evaluate(c, x) for c in alone]
+    assert table.sums(x, dps=30) == [evaluate(c, x, dps=30) for c in alone]
+    assert table.conditions(x)[:2] == [condition(c, x) for c in alone[:2]]
+    assert table.conditions(x)[2] == math.inf
+    # the table checks every pair any combo uses: f alone is defined here
+    below = {1: 0.3, 2: 1.7, 3: 2.2, 4: 0.1}
+    assert math.isfinite(evaluate(alone[0], below))
+    with pytest.raises(ValueError, match="half-integer"):
+        table.sums(below)
+    with pytest.raises(ValueError, match="coincident"):
+        table.sums({1: 0.3, 2: 1.7, 3: 2.2, 4: 2.2})
+    assert Compiled(()).sums(x) == []
 
 
 @pytest.mark.parametrize("npoints", [4, 6])

@@ -6,7 +6,7 @@ import random
 import mpmath
 import pytest
 
-from mgffcross import coulomb, incidence, partition_fn
+from mgffcross import coulomb, incidence, partition_fn, probability
 from mgffcross.combinat import enumerate_link_patterns, enumerate_pairings, tau
 from mgffcross.errors import IncompatiblePartitionsError
 from mgffcross.probability import (
@@ -168,6 +168,75 @@ def test_probabilities_are_the_plain_ratio_of_evaluations(npoints):
                 want = 0.0
             assert crossing_probability(p, y) == want
             assert prob == want
+
+
+def per_combo(npoints):
+    """Probabilities and largest condition at a configuration, one
+    evaluation per combo, as the benchmark's replay forms them; copies of
+    the combos keep tables off the cached numerators."""
+    om = partition_fn.omega_pairing(npoints)
+    total = coulomb.MonomialCombo(dict(partition_fn.z_mgff_total(npoints).terms))
+    nums = [
+        coulomb.MonomialCombo(dict(partition_fn.fused_pure_partition(p).terms))
+        if incidence.arrow_relation(om, tau(p))
+        else None
+        for p in enumerate_link_patterns((2,) * npoints)
+    ]
+
+    def at(y):
+        ys = {i + 1: v for i, v in enumerate(y)}
+        den = coulomb.evaluate(total, ys)
+        probs = tuple(0.0 if c is None else float(coulomb.evaluate(c, ys) / den) for c in nums)
+        return probs, max(coulomb.condition(c, ys) for c in nums if c is not None)
+
+    return at
+
+
+def assert_table_bits(npoints, configs):
+    at = per_combo(npoints)
+    for y in configs:
+        probs, cond = at(y)
+        assert outcome_distribution(npoints, y).probs == probs
+        assert probability.condition(npoints, y) == cond
+
+
+def test_table_matches_per_combo_bits_on_rectangles():
+    Ls = [0.6 * 10.0 ** (k / 199) for k in range(200)]
+    images = [rect_boundary_to_halfplane(RectanglePolygon.corners(L)) for L in Ls]
+    assert_table_bits(4, images)
+
+
+def test_table_matches_per_combo_bits_at_six_points():
+    rng = random.Random(66)
+    configs = []
+    for _ in range(50):
+        y = random_points(6, rng, 0.05, 3.0)
+        pole = y[0] - rng.uniform(0.2, 4.0)
+        configs += [y, tuple(-1.0 / (v - pole) for v in y), tuple(-v for v in reversed(y))]
+    assert_table_bits(6, configs)
+
+
+def test_table_matches_per_combo_bits_at_eight_points():
+    # reuses the fusion test_partition_fn::test_sum_rule[8] caches
+    assert_table_bits(8, [(0.0, 1.0, 2.5, 3.0, 4.2, 5.0, 6.1, 7.7)])
+
+
+def test_table_keeps_numerators_bare_and_errors_unchanged():
+    # the one table per point count is the only one: no numerator keeps a
+    # table of its own, which would double the memory of the 8-point case
+    nums = [num for _, num in probability._numerators(6) if num is not None]
+    for num in nums:
+        num._compiled = None  # other tests evaluate the cached combos directly
+    y = random_points(6, random.Random(8))
+    outcome_distribution(6, y)
+    probability.condition(6, y)
+    assert all(num._compiled is None for num in nums)
+    with pytest.raises(ValueError, match="coincident points for pair"):
+        outcome_distribution(4, {1: 0.0, 2: 1.0, 3: 1.0, 4: 3.0})
+    with pytest.raises(ValueError, match="coincident points for pair"):
+        probability.condition(6, {1: 0.0, 2: 1.0, 3: 2.0, 4: 3.0, 5: 4.0, 6: 4.0})
+    with pytest.raises(ArithmeticError, match="negative"):
+        outcome_distribution(4, {1: 0.0, 2: 2.0, 3: 1.0, 4: 3.0})
 
 
 def test_prob_of_and_json():

@@ -14,7 +14,6 @@ from mgffcross.mgff_sim.lattice import (
     edge_open_probability,
     harmonic_extension,
     interior_noise_to_field,
-    laplacian_residual,
     _dst2,
 )
 from mgffcross.mgff_sim.kernels import pair_bit, percolate_batch, resolve_kernel
@@ -33,6 +32,8 @@ from oracles import (
     bridge_same_sign_probability,
     dense_gff_variances,
     dense_harmonic_extension,
+    laplacian_residual,
+    lattice_vertex,
     mask_to_partition,
     percolate_per_trial,
     trial_stream,
@@ -75,10 +76,10 @@ def test_arc_labels_partition_boundary():
     border = spec.arc_of[spec.walk]
     assert (border >= 0).all()
     # left edge positive (arc 0), bottom negative (arc 1), right positive, top negative
-    assert spec.arc_of[spec.vertex(2, 0)] == 0
-    assert spec.arc_of[spec.vertex(0, 2)] == 1
-    assert spec.arc_of[spec.vertex(2, 4)] == 2
-    assert spec.arc_of[spec.vertex(4, 2)] == 3
+    assert spec.arc_of[lattice_vertex(spec, 2, 0)] == 0
+    assert spec.arc_of[lattice_vertex(spec, 0, 2)] == 1
+    assert spec.arc_of[lattice_vertex(spec, 2, 4)] == 2
+    assert spec.arc_of[lattice_vertex(spec, 4, 2)] == 3
 
 
 def test_mark_snapping():
@@ -110,7 +111,7 @@ def test_site_layout_of_arcs(R, shortest):
     for k, site in enumerate(spec.arc_sites.tolist()):
         r, c = divmod(site, width)
         assert r % 2 == 0 and c % 2 == 0
-        assert spec.arc_of[spec.vertex(r // 2, c // 2)] == k
+        assert spec.arc_of[lattice_vertex(spec, r // 2, c // 2)] == k
         assert spec.arc_of[spec.walk[spec.marked_walk[k]]] == k
     walk = spec.walk.tolist()
     ends = zip(walk, walk[1:] + walk[:1])
