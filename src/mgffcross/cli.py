@@ -135,7 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", metavar="PREFIX", help="output path prefix (default run)")
     ps.add_argument("--threads", type=int, help="worker threads, 0 = one per cpu (default 0)")
     ps.add_argument("--kernel", choices=("auto", "numpy"), help="percolation kernel")
-    ps.add_argument("--chunk", type=int, help="trials per work unit (default 512)")
+    ps.add_argument(
+        "--chunk", type=int,
+        help="at most this many trials per work unit; fewer when the chunks of all "
+        "workers would exceed the byte budget (default 512)",
+    )
 
     pv = sub.add_parser("verify", help="independent numerical check suites")
     pv.add_argument("--config", metavar="FILE", help="key=value settings file")
@@ -262,7 +266,7 @@ def _cmd_simulate(args, argv: list[str]) -> int:
         "outputs": [csv_path, json_path],
         "runtime": {
             "kernel": kernels.resolve_kernel(cfg.kernel),
-            "threads": experiment.worker_count(cfg),
+            "threads": max(m.threads for rep in reports for m in rep.meshes),
             "cpu_count": os.cpu_count(),
             "versions": {
                 "numpy": numpy.__version__,
@@ -271,7 +275,8 @@ def _cmd_simulate(args, argv: list[str]) -> int:
             },
             "meshes": [
                 {"mu": rep.config.mu, "ny": m.ny, "wall_s": m.wall_s,
-                 "trials_per_s": cfg.trials / m.wall_s}
+                 "trials_per_s": cfg.trials / m.wall_s, "chunk": m.chunk,
+                 "threads": m.threads, "stages_s": m.stages_s}
                 for rep in reports
                 for m in rep.meshes
             ],

@@ -8,6 +8,13 @@ partitions is mapped to its boundary link pattern through the planar
 cluster dictionary; incompatible pairs (which have probability zero in
 the continuum) are counted in a separate anomaly bucket.
 
+Trials run in chunks on a thread pool, one worker per cpu unless
+`threads` says otherwise.  A chunk holds at most `SimConfig.chunk`
+trials, fewer when the chunks of all workers together would exceed
+`CHUNK_BYTES` (`chunk_plan`), so peak memory does not grow with the
+core count.  Within a chunk, one worker at a time draws its random
+numbers (`_draw_chunk`) while the others transform and label theirs.
+
 Reproducibility: trial t of mesh index m uses an independent Philox
 stream keyed (seed, m * trials + t), drawing its interior normals first
 and its edge uniforms second.  Each chunk builds one generator and
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -49,6 +57,17 @@ MU_LAT_DEFAULT = 2.0 * math.sqrt(math.pi / 8.0)
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
+# bytes of the chunks of all workers together; at meshes 1/16 to 1/64 on
+# 2 cores 8 MiB ran faster than 4 or 16 MiB and than 512-trial chunks
+CHUNK_BYTES = 8 * 2**20
+
+# per-chunk stages whose thread-seconds the manifest reports
+STAGES = ("rng", "rng_wait", "dst", "percolate", "tally")
+
+# one chunk draws at a time: each per-trial fill releases the GIL for a
+# few microseconds only, so drawing threads would trade it on every fill
+_DRAW_LOCK = threading.Lock()
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -60,7 +79,7 @@ class SimConfig:
     meshes: tuple[int, ...] = (16, 32, 64)  # intervals per unit height
     kernel: str = "auto"
     threads: int = 0  # 0 = one worker per cpu
-    chunk: int = 512
+    chunk: int = 512  # at most this many trials per chunk (see chunk_plan)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -106,8 +125,12 @@ class MeshResult:
     freqs: tuple[float, ...]
     ci_low: tuple[float, ...]
     ci_high: tuple[float, ...]
-    # wall seconds of the mesh's trials; for the manifest, not the outputs
+    # for the manifest, not the outputs: wall seconds of the mesh, trials
+    # per chunk, worker threads, and thread-seconds per stage (STAGES)
     wall_s: float = field(default=0.0, compare=False)
+    chunk: int = field(default=0, compare=False)
+    threads: int = field(default=0, compare=False)
+    stages_s: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -175,32 +198,90 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def worker_count(cfg: SimConfig) -> int:
-    """Worker threads a mesh of `cfg` runs on: one per cpu when
-    cfg.threads is 0, and never more than there are chunks."""
-    return min(cfg.threads or os.cpu_count() or 1, -(-cfg.trials // cfg.chunk))
+def bytes_per_trial(spec: LatticeSpec) -> int:
+    """Bytes one trial of a chunk holds at the chunk's peak.  Its normals,
+    uniforms and field (float64) live through the chunk; beside them come,
+    one stage at a time, the DST's two interior-sized temporaries, the
+    edge products with the site image, and the site image with the copy
+    `ndimage.label` takes of it and the int32 labels."""
+    m, k = spec.interior_shape
+    sites = (2 * spec.ny + 2) * (2 * spec.nx + 1)
+    nE = spec.n_edges
+    return 8 * (m * k + nE + spec.nv) + max(16 * m * k, 8 * nE + sites, 6 * sites)
 
 
-def _draw_chunk(
-    seed: int, first: int, count: int, shape: tuple[int, int], nE: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interior normals (count, *shape) and edge uniforms (count, nE) of
-    trials first .. first+count-1, trial i drawing from the Philox stream
-    keyed (seed, i), normals first.  One generator is re-keyed per trial:
-    a zero counter and an empty buffer make its stream exactly that of a
-    fresh Philox(key=(seed, i))."""
-    normals = np.empty((count,) + shape)
-    uniforms = np.empty((count, nE))
+def chunk_plan(cfg: SimConfig, spec: LatticeSpec) -> tuple[int, int]:
+    """(trials per chunk, worker threads) of one mesh.  The workers are
+    one per cpu when cfg.threads is 0; their chunks together hold at most
+    CHUNK_BYTES unless a chunk is one trial, and a chunk never exceeds
+    cfg.chunk.  There are never more workers than chunks."""
+    workers = cfg.threads or os.cpu_count() or 1
+    chunk = max(1, min(cfg.chunk, CHUNK_BYTES // (workers * bytes_per_trial(spec))))
+    return chunk, min(workers, -(-cfg.trials // chunk))
+
+
+def _chunk_buffers(spec: LatticeSpec, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normals (count, *interior_shape), uniforms (count, nE) and fields
+    (count, ny+1, nx+1) that one worker reuses for all its chunks: freed
+    after each chunk, a small chunk's pages went back to the system and
+    faulted in again (42 minor faults per trial at mesh 1/64, which made
+    a 20000-trial run 15-25 % slower)."""
+    return (
+        np.empty((count,) + spec.interior_shape),
+        np.empty((count, spec.n_edges)),
+        np.empty((count, spec.ny + 1, spec.nx + 1)),
+    )
+
+
+def _draw_chunk(seed: int, first: int, normals: np.ndarray, uniforms: np.ndarray) -> float:
+    """Fill the interior normals (B, ny-1, nx-1) and edge uniforms (B, nE)
+    of trials first .. first+B-1, trial i drawing from the Philox stream
+    keyed (seed, i), normals first; returns the seconds spent waiting for
+    another thread's draws.  One generator is re-keyed per trial: a zero
+    counter and an empty buffer make its stream exactly that of a fresh
+    Philox(key=(seed, i))."""
     bg = np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64))
     g = np.random.Generator(bg)
     state = bg.state  # zero counter, empty buffer; drawing leaves this copy alone
     key = state["state"]["key"]
-    for i in range(count):
-        key[1] = (first + i) % 2**64
-        bg.state = state
-        g.standard_normal(out=normals[i])
-        g.random(out=uniforms[i])
-    return normals, uniforms
+    t0 = time.perf_counter()
+    with _DRAW_LOCK:
+        wait = time.perf_counter() - t0
+        for i in range(normals.shape[0]):
+            key[1] = (first + i) % 2**64
+            bg.state = state
+            g.standard_normal(out=normals[i])
+            g.random(out=uniforms[i])
+    return wait
+
+
+def _run_chunk(
+    cfg: SimConfig,
+    spec: LatticeSpec,
+    harm: np.ndarray,
+    first: int,
+    bufs: tuple[np.ndarray, np.ndarray, np.ndarray],
+    table: dict,
+    npatterns: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pattern counts (anomalies last) of trials first .. first+B-1, B
+    the length of the `_chunk_buffers` bufs, and the seconds of each of
+    STAGES."""
+    normals, uniforms, fields = bufs
+    count = normals.shape[0]
+    t0 = time.perf_counter()
+    wait = _draw_chunk(cfg.seed, first, normals, uniforms)
+    t1 = time.perf_counter()
+    fields[:] = harm
+    fields[:, 1:-1, 1:-1] += interior_noise_to_field(spec, normals)
+    t2 = time.perf_counter()
+    pos, neg = percolate_batch(fields.reshape(count, -1), uniforms, spec, cfg.kernel)
+    t3 = time.perf_counter()
+    c = np.zeros(npatterns + 1, dtype=np.int64)
+    for pm, nm in zip(pos.tolist(), neg.tolist()):
+        c[table.get((pm, nm), npatterns)] += 1
+    t4 = time.perf_counter()
+    return c, np.array([t1 - t0 - wait, wait, t2 - t1, t3 - t2, t4 - t3])
 
 
 def _run_mesh(
@@ -210,40 +291,47 @@ def _run_mesh(
     ny: int,
     table: dict,
     npatterns: int,
-) -> tuple[LatticeSpec, np.ndarray]:
+) -> MeshResult:
+    start = time.perf_counter()
     spec = build_lattice(R, ny)
     harm = harmonic_extension(spec, cfg.mu).values
     base = mesh_index * cfg.trials
+    chunk, workers = chunk_plan(cfg, spec)
+    local = threading.local()  # each worker's _chunk_buffers
 
-    def do_chunk(bounds: tuple[int, int]) -> np.ndarray:
-        t0, t1 = bounds
-        B = t1 - t0
-        normals, uniforms = _draw_chunk(
-            cfg.seed, base + t0, B, spec.interior_shape, spec.n_edges
-        )
-        fields = np.broadcast_to(harm, (B,) + harm.shape).copy()
-        fields[:, 1:-1, 1:-1] += interior_noise_to_field(spec, normals)
-        pos, neg = percolate_batch(
-            fields.reshape(B, -1), uniforms, spec, cfg.kernel
-        )
-        c = np.zeros(npatterns + 1, dtype=np.int64)
-        for pm, nm in zip(pos.tolist(), neg.tolist()):
-            c[table.get((pm, nm), npatterns)] += 1
-        return c
+    def do_chunk(t0: int) -> tuple[np.ndarray, np.ndarray]:
+        if not hasattr(local, "bufs"):
+            local.bufs = _chunk_buffers(spec, chunk)
+        count = min(chunk, cfg.trials - t0)
+        bufs = tuple(b[:count] for b in local.bufs)
+        return _run_chunk(cfg, spec, harm, base + t0, bufs, table, npatterns)
 
-    chunks = [
-        (t0, min(t0 + cfg.chunk, cfg.trials)) for t0 in range(0, cfg.trials, cfg.chunk)
-    ]
+    starts = range(0, cfg.trials, chunk)
     counts = np.zeros(npatterns + 1, dtype=np.int64)
-    workers = worker_count(cfg)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for c in ex.map(do_chunk, chunks):
-                counts += c
-    else:
-        for ch in chunks:
-            counts += do_chunk(ch)
-    return spec, counts
+    stages = np.zeros(len(STAGES))
+    with ThreadPoolExecutor(max_workers=workers) as ex:  # no thread starts unless used
+        for c, s in ex.map(do_chunk, starts) if workers > 1 else map(do_chunk, starts):
+            counts += c
+            stages += s
+    wall = time.perf_counter() - start
+
+    tot = cfg.trials
+    cis = [wilson_interval(int(c), tot) for c in counts[:-1]]
+    return MeshResult(
+        ny=spec.ny,
+        nx=spec.nx,
+        delta=spec.delta,
+        snap_err=spec.snap_err,
+        counts=tuple(int(c) for c in counts[:-1]),
+        anomalies=int(counts[-1]),
+        freqs=tuple(int(c) / tot for c in counts[:-1]),
+        ci_low=tuple(lo for lo, _ in cis),
+        ci_high=tuple(hi for _, hi in cis),
+        wall_s=wall,
+        chunk=chunk,
+        threads=workers,
+        stages_s=dict(zip(STAGES, stages.tolist())),
+    )
 
 
 def run_experiment(R: RectanglePolygon, cfg: SimConfig) -> ExperimentReport:
@@ -259,29 +347,10 @@ def run_experiment(R: RectanglePolygon, cfg: SimConfig) -> ExperimentReport:
         for (pos, neg), pat in cluster_pattern_table(n).items()
     }
 
-    results = []
-    for mi, ny in enumerate(cfg.meshes):
-        t0 = time.perf_counter()
-        spec, counts = _run_mesh(R, cfg, mi, ny, table, len(patterns))
-        wall = time.perf_counter() - t0
-        tot = cfg.trials
-        freqs = tuple(int(c) / tot for c in counts[:-1])
-        cis = [wilson_interval(int(c), tot) for c in counts[:-1]]
-        results.append(
-            MeshResult(
-                ny=spec.ny,
-                nx=spec.nx,
-                delta=spec.delta,
-                snap_err=spec.snap_err,
-                counts=tuple(int(c) for c in counts[:-1]),
-                anomalies=int(counts[-1]),
-                freqs=freqs,
-                ci_low=tuple(lo for lo, _ in cis),
-                ci_high=tuple(hi for _, hi in cis),
-                wall_s=wall,
-            )
-        )
-    return ExperimentReport(R, cfg, patterns, theory, tuple(results))
+    results = tuple(
+        _run_mesh(R, cfg, mi, ny, table, len(patterns)) for mi, ny in enumerate(cfg.meshes)
+    )
+    return ExperimentReport(R, cfg, patterns, theory, results)
 
 
 def sweep_mu(R: RectanglePolygon, cfg: SimConfig, mus) -> list[ExperimentReport]:

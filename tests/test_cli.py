@@ -217,9 +217,14 @@ def test_simulate_manifest_records_runtime(tmp_path, capsys):
     for m in rt["meshes"]:
         assert m["wall_s"] > 0
         assert m["trials_per_s"] == pytest.approx(150 / m["wall_s"])
-    # timings stay out of the primary outputs
-    assert "wall" not in (tmp_path / "run.json").read_text()
-    assert "wall" not in (tmp_path / "run.csv").read_text()
+        assert 1 <= m["chunk"] <= 64
+        assert m["threads"] == min(os.cpu_count(), -(-150 // m["chunk"]))
+        assert set(m["stages_s"]) == {"rng", "rng_wait", "dst", "percolate", "tally"}
+        assert all(s >= 0 for s in m["stages_s"].values())
+    # timings and chunking stay out of the primary outputs
+    for name in ("run.json", "run.csv"):
+        text = (tmp_path / name).read_text()
+        assert "wall" not in text and "stages" not in text and "chunk" not in text
 
 
 def test_simulate_outputs_are_byte_identical(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Lattice construction, field sampling, percolation kernels, experiments."""
 
 import math
+import sys
+import threading
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +22,15 @@ from mgffcross.mgff_sim.lattice import (
 )
 from mgffcross.mgff_sim.kernels import pair_bit, percolate_batch, resolve_kernel
 from mgffcross.mgff_sim.experiment import (
+    CHUNK_BYTES,
     MU_LAT_DEFAULT,
     ExperimentReport,
     SimConfig,
+    _chunk_buffers,
     _draw_chunk,
+    _run_chunk,
+    bytes_per_trial,
+    chunk_plan,
     partition_mask,
     run_experiment,
     sweep_mu,
@@ -412,14 +421,84 @@ def test_chunk_draws_match_fresh_per_trial_streams(seed, first, shape, nE):
     # odd draw counts leave half a Philox block buffered, which a
     # re-keyed generator must not carry into the next trial
     count = 6
-    normals, uniforms = _draw_chunk(seed, first, count, shape, nE)
-    assert normals.shape == (count,) + shape and uniforms.shape == (count, nE)
+    normals, uniforms = np.full((count,) + shape, np.nan), np.full((count, nE), np.nan)
+    assert _draw_chunk(seed, first, normals, uniforms) >= 0.0
     for i in range(count):
         g = trial_stream(seed, first + i)
         assert normals[i].tobytes() == g.standard_normal(shape).tobytes()
         assert uniforms[i].tobytes() == g.random(nE).tobytes()
     if first == 2**64 - 3:  # the trial index wraps inside the chunk
         assert (normals[3] == trial_stream(seed, 0).standard_normal(shape)).all()
+
+
+def test_concurrent_chunk_draws_match_serial_draws():
+    # four drawing threads on fewer cores, switching as often as the
+    # interpreter allows, get the bytes each chunk gets alone
+    def draw(seed, first):
+        normals, uniforms = np.empty((40, 15, 15)), np.empty((40, 544))
+        _draw_chunk(seed, first, normals, uniforms)
+        return normals, uniforms
+
+    jobs = [(seed, first) for seed in (3, 2**64 - 1) for first in (0, 777)]
+    serial = [draw(*job) for job in jobs]
+    got = [None] * len(jobs)
+    start = threading.Barrier(4)
+
+    def work(w):
+        start.wait(timeout=30)
+        for rep in range(3):
+            for j in range(w, len(jobs) + w):
+                got[j % len(jobs)] = draw(*jobs[j % len(jobs)])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for (n0, u0), (n1, u1) in zip(serial, got):
+        assert n0.tobytes() == n1.tobytes() and u0.tobytes() == u1.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8, 64])
+@pytest.mark.parametrize("ny, trials, cap", [(16, 4096, 512), (32, 4096, 512), (64, 1024, 512),
+                                              (64, 1024, 5), (8, 100, 512), (128, 50, 512)])
+def test_chunk_plan_fits_the_byte_budget(threads, ny, trials, cap):
+    spec = build_lattice(SQUARE, ny)
+    per = bytes_per_trial(spec)
+    chunk, workers = chunk_plan(SimConfig(trials=trials, threads=threads, chunk=cap), spec)
+    assert 1 <= chunk <= cap
+    assert chunk * threads * per <= CHUNK_BYTES or chunk == 1
+    assert chunk == cap or (chunk + 1) * threads * per > CHUNK_BYTES  # as large as fits
+    assert workers == min(threads, -(-trials // chunk))
+
+
+def test_chunk_plan_counts_cpus_when_threads_is_zero(monkeypatch):
+    spec = build_lattice(SQUARE, 32)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    assert chunk_plan(SimConfig(threads=0), spec) == chunk_plan(SimConfig(threads=8), spec)
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert chunk_plan(SimConfig(threads=0), spec) == chunk_plan(SimConfig(threads=1), spec)
+
+
+@pytest.mark.parametrize("ny, count", [(16, 256), (32, 64)])
+def test_chunk_peak_memory_matches_bytes_per_trial(ny, count):
+    spec = build_lattice(SQUARE, ny)
+    harm = harmonic_extension(spec, MU_LAT_DEFAULT).values
+    cfg = SimConfig(seed=4)
+    _run_chunk(cfg, spec, harm, 0, _chunk_buffers(spec, count), {}, 3)  # warm caches and plans
+    tracemalloc.start()
+    try:
+        _run_chunk(cfg, spec, harm, 0, _chunk_buffers(spec, count), {}, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak == pytest.approx(bytes_per_trial(spec) * count, rel=0.25)
 
 
 def test_run_experiment_counts_are_conserved():
@@ -438,6 +517,17 @@ def test_run_experiment_deterministic_across_threads_and_chunks():
     r1 = run_experiment(SQUARE, base_config(threads=1, chunk=64))
     r2 = run_experiment(SQUARE, base_config(threads=2, chunk=32))
     assert r1.meshes == r2.meshes
+
+
+def test_budget_chunks_match_one_trial_chunks():
+    cfg = SimConfig(trials=1000, seed=11, meshes=(16,))
+    assert cfg.chunk == 512 and cfg.threads == 0
+    pooled = run_experiment(SQUARE, cfg)
+    single = run_experiment(SQUARE, replace(cfg, threads=1, chunk=1))
+    assert pooled.meshes == single.meshes
+    assert 1 < pooled.meshes[0].chunk < 1000 and single.meshes[0].chunk == 1
+    assert single.meshes[0].threads == 1
+    assert set(pooled.meshes[0].stages_s) == {"rng", "rng_wait", "dst", "percolate", "tally"}
 
 
 def test_run_experiment_seed_sensitivity():
