@@ -172,6 +172,11 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# `prob` prints no probability whose float sums may be off by more than
+# this, relatively: cond * 2^-53 bounds the rounding of the numerators
+MAX_REL_ERROR = 1e-10
+
+
 def _cmd_prob(args) -> int:
     from . import probability
 
@@ -187,8 +192,13 @@ def _cmd_prob(args) -> int:
         if len(ys) == 4:
             header["q"] = probability.cross_ratio(ys)
     dist = probability.outcome_distribution(len(ys), ys)
+    cond = probability.condition(len(ys), ys)
+    if cond * 2.0**-53 > MAX_REL_ERROR:
+        raise ArithmeticError(
+            f"cancellation: condition number {cond:.3g} bounds the relative error "
+            f"by {cond * 2.0**-53:.2g}, above {MAX_REL_ERROR:g}"
+        )
     if args.json:
-        cond = probability.condition(len(ys), ys)
         print(json.dumps({**header, "cond": cond, "outcomes": dist.as_json()}, sort_keys=True))
         return 0
     for k, v in header.items():

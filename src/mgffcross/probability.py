@@ -11,10 +11,12 @@ the bits of `crossing_probability`'s division.
 
 For a rectangle with alternating-sign boundary arcs the marked points
 are carried to the real line by the elliptic map of the rectangle onto
-the upper half plane.  Its moduli k, k' (with K(k')/K(k) = 2/L) and
-the corner cross-ratio q(L) = lambda(iL) are theta-series quotients
-(DLMF 20.2, 23.15); the duality L <-> 1/L keeps the nome at most e^(-pi),
-so five terms reach full float precision at any ratio.
+the upper half plane, z -> sn(2K(z - L/2)/L, k) with K(k')/K(k) = 2/L.
+Its boundary values sn and 1/dn, and the corner cross-ratio
+q(L) = lambda(iL), are theta-series quotients (DLMF 20.2, 22.2, 23.15).
+Jacobi's imaginary transformation keeps every nome at most e^(-pi), so
+five terms reach full float precision at any ratio; with `dps` set the
+same quotients run through `mpmath.jtheta`.  Nothing here imports scipy.
 
 The cluster dictionary at the end converts a pair of arc partitions
 (which positive arcs are wired together, which negative arcs) into the
@@ -28,8 +30,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy.special import ellipj
 
 from . import coulomb, incidence, partition_fn
 from .combinat import (
@@ -224,15 +224,6 @@ def _theta_constants(ratio: float) -> tuple[float, float, float]:
     )
 
 
-def theta_moduli(ratio: float) -> tuple[float, float, float, float]:
-    """(k, k', K, K') with K'/K = ratio: k = theta2^2/theta3^2, k' =
-    theta4^2/theta3^2 and K = (pi/2) theta3^2 at nome e^(-pi ratio); for
-    ratio < 1 the dual nome e^(-pi/ratio) gives k', k and K'."""
-    th2, th3, th4 = _theta_constants(ratio)
-    k, kp, K = (th2 / th3) ** 2, (th4 / th3) ** 2, 0.5 * math.pi * th3 * th3
-    return (k, kp, K, ratio * K) if ratio >= 1.0 else (kp, k, K / ratio, K)
-
-
 def cross_ratio_rectangle(L: float) -> float:
     """Corner cross-ratio of the [0,L]x[0,1] rectangle: q = theta2^4/theta3^4
     at nome e^(-pi L), or 1 - q(1/L) = theta4^4/theta3^4 at e^(-pi/L) for
@@ -243,69 +234,247 @@ def cross_ratio_rectangle(L: float) -> float:
     return (t2 if L >= 1.0 else t4) / (t2 + t4)
 
 
-def _sn(u: float, k: float) -> float:
-    return float(ellipj(u, k * k)[0])
+# a series term at most e^(-_CUT) = 2^-60 times its leading term is dropped
+_CUT = 60.0 * math.log(2.0)
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
 
 
-def _dn(u: float, k: float) -> float:
-    return float(ellipj(u, k * k)[2])
+def _split(a: float) -> tuple[float, float]:
+    """a = hi + lo with hi holding 26 bits (Veltkamp): products of halves are exact."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
 
 
-def _halfplane_image(
-    R: RectanglePolygon, k: float, kp: float, K: float, Kp: float, s: float
-) -> float:
-    """Image of the boundary point at arc length s under the rectangle ->
-    half plane map z -> sn(2K(z - L/2)/L, k).  Returns +-inf at the top
-    edge midpoint, where the map wraps through infinity."""
-    L = R.L
-    s = s % R.perimeter
-    if s <= L:
-        return _sn(2.0 * K * (s - L / 2.0) / L, k)
-    if s <= L + 1.0:
-        return 1.0 / _dn(Kp * (s - L), kp)
-    if s <= 2.0 * L + 1.0:
-        x = 2.0 * L + 1.0 - s
-        val = k * _sn(2.0 * K * (x - L / 2.0) / L, k)
-        if val == 0.0:
+def _times_exp(x: float, e: float) -> float:
+    """x * e^e; infinite, with the sign of x, where that leaves float range."""
+    try:
+        return x * math.exp(e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+class _BoundaryMap:
+    """Arc length on the boundary of [0, L] x [0, 1] -> real image under
+    z -> sn(2K(z - L/2)/L, k), the map onto the upper half plane with
+    K'/K = 2/L, as theta quotients (DLMF 22.2).
+
+    With t = x - L/2 on the bottom and top edges and v the height on the
+    sides, the images are sn(2Kt/L, k) = (th3/th2) th1(pi t/L)/th4(pi t/L)
+    at the nome e^(-2 pi/L), its top-edge counterpart 1/(k sn(2Kt/L, k)),
+    and +-1/dn(K'v, k') = +-(th3/th4) th4(pi v/2)/th3(pi v/2) at the nome
+    e^(-pi L/2).  Whichever nome exceeds e^(-pi) moves to the other by
+    Jacobi's imaginary transformation (DLMF 20.7.30, 22.6.iv), so every
+    series runs at q = e^(-pa), pa = pi max(2/L, L/2) >= pi.  The moved
+    series take imaginary arguments iy, 0 <= y <= pa/2: sums of
+    q^(n(n+1)) sinh or cosh((2n+1)y) and of q^(n^2) cosh(2ny).  Each such
+    term is one exp of its summed exponent less the leading term's, so no
+    term overflows at any L; the leading factor e^y multiplies the
+    quotient last and is infinite only where the image leaves float
+    range.  The nome powers are computed once per rectangle.
+    """
+
+    __slots__ = ("L", "wide", "c", "odd", "even", "ph", "pl", "ph_split", "top")
+
+    def __init__(self, L: float):
+        self.L = L
+        self.wide = wide = L > 2.0
+        pa = math.pi * (0.5 * L if wide else 2.0 / L)
+        # smallest terms first: (2n, -log q^(n(n+1)), (-1)^n, (-1)^n q^(n(n+1)))
+        # for n <= 4 while q^(n^2) counts, and (2n, -log q^(n^2), 2 q^(n^2),
+        # 2 (-1)^n q^(n^2)) for 1 <= n <= 5 while q^(n(n-1)), the most a
+        # q^(n^2) cosh(2ny) term reaches, counts
+        cut = _CUT / pa
+        self.odd = odd = []
+        for n in range(min(4, int(math.sqrt(cut))), -1, -1):
+            a, sign = pa * n * (n + 1) if n else 0.0, -1.0 if n & 1 else 1.0
+            odd.append((2 * n, a, sign, sign * math.exp(-a)))
+        self.even = even = []
+        for n in range(min(5, int(0.5 + math.sqrt(0.25 + cut))), 0, -1):
+            b = pa * n * n
+            e = 2.0 * math.exp(-b)
+            even.append((2 * n, b, e, -e if n & 1 else e))
+        th3 = 1.0 + sum(e for _, _, e, _ in even)
+        if wide:
+            self.c = th3 / (1.0 + sum(e for _, _, _, e in even))  # th3/th4
+            return
+        # th3/th2, with the factor 2 q^(1/4) of th2 taken out
+        self.c = c = th3 / sum(s * o for _, _, s, o in odd)
+        # pi/L = ph + pl to twice float precision: e^(pi v/L) is as
+        # accurate as its exponent is absolutely, and pi/L reaches 3e3
+        # at L = 1e-3
+        self.ph = ph = math.pi / L
+        self.ph_split = (ph, 0.0) if ph > 1e300 else _split(ph)
+        (ah, al), (bh, bl) = self.ph_split, _split(L)
+        err = ((ah * bh - ph * L) + ah * bl + al * bh) + al * bl  # ph L - fl(ph L)
+        self.pl = (((math.pi - ph * L) - err) + _PI_LO) / L
+        # 1/(k sn) = (c/4) e^(pi/L) th4/th1 on the top edge
+        self.top = _times_exp(0.25 * c * (1.0 + self.pl), ph)
+
+    def _th1(self, z: float) -> float:
+        """th1(z) / (2 q^(1/4))"""
+        out = 0.0
+        for n2, _, _, o in self.odd:
+            out += o * math.sin((n2 + 1) * z)
+        return out
+
+    def _th3(self, z: float) -> float:
+        out = 1.0
+        for n2, _, e, _ in self.even:
+            out += e * math.cos(n2 * z)
+        return out
+
+    def _th4(self, z: float) -> float:
+        out = 1.0
+        for n2, _, _, e in self.even:
+            out += e * math.cos(n2 * z)
+        return out
+
+    def _sh_ch(self, y: float) -> tuple[float, float]:
+        """2 e^(-y) th1(iy) / (2i q^(1/4)) and 2 e^(-y) th2(iy) / (2 q^(1/4)), y >= 0."""
+        sh = ch = 0.0
+        for n2, a, sign, _ in self.odd:
+            g, x = math.exp(n2 * y - a), math.expm1(-(2 * n2 + 2) * y)
+            sh -= sign * g * x
+            ch += g * (2.0 + x)
+        return sh, ch
+
+    def _ch3(self, y: float) -> float:
+        """th3(iy), 0 <= y <= pa/2."""
+        out = 1.0
+        for n2, b, _, _ in self.even:
+            out += math.exp(n2 * y - b) * (1.0 + math.exp(-2 * n2 * y))
+        return out
+
+    def _side(self, parts: tuple[float, ...]) -> float:
+        """1/dn(K'v, k') for L <= 2 and v = sum(parts) in [0, 1]: c e^y
+        th2(iy)/th3(iy) with y = pi v/L, or for v > 1/2, through
+        dn(K' - u, k') = k/dn(u, k'), c e^y th3(iy')/th2(iy') with
+        y' = pi (1 - v)/L, so that no series term nears its leader."""
+        vh = math.fsum(parts)
+        yh = self.ph * vh
+        if yh > 710.0:  # e^y alone leaves float range
             return math.inf
-        return 1.0 / val
-    y = 2.0 * L + 2.0 - s
-    return -1.0 / _dn(Kp * y, kp)
+        if vh <= 0.5:
+            ratio = 0.5 * self._sh_ch(yh)[1] / self._ch3(yh)
+        else:
+            y1 = self.ph * math.fsum((*parts, -1.0))  # -y'
+            ratio = 0.5 * self._ch3(-y1) / self._sh_ch(-y1)[1]
+        # e^(pi v/L) = e^yh (1 + yl), yl = pi v/L - yh
+        (ah, al), (bh, bl) = self.ph_split, _split(vh)
+        yl = ((ah * bh - yh) + ah * bl + al * bh) + al * bl
+        yl += self.ph * math.fsum((*parts, -vh)) + self.pl * vh
+        return _times_exp(self.c * ratio * (1.0 + yl), yh)
+
+    def __call__(self, s: float) -> float:
+        """Image of the boundary point at arc length s; +inf at the top
+        edge midpoint, where the map wraps through infinity."""
+        L = self.L
+        s = s % (2.0 * L + 2.0)
+        if L < s <= L + 1.0 or s > 2.0 * L + 1.0:  # sides
+            right = s <= L + 1.0
+            parts = (s, -L) if right else (L, L, 2.0, -s)
+            if self.wide:
+                z = 0.5 * math.pi * math.fsum(parts)
+                w = self.c * self._th4(z) / self._th3(z)
+            else:
+                w = self._side(parts)
+            return w if right else -w
+        top = s > L
+        # x - L/2 with x = 2L + 1 - s on the top edge, rounded once: near
+        # the midpoint the image is about 1/t
+        t = math.fsum((L, 0.5 * L, 1.0, -s)) if top else s - 0.5 * L
+        if self.wide:
+            sh, ch = self._sh_ch(0.5 * math.pi * abs(t))
+            if top:
+                return math.copysign(self.c * ch / sh, t) if sh else math.inf
+            return math.copysign(self.c * sh / ch, t)
+        z = math.pi * t / L
+        if top:
+            th1 = self._th1(z)
+            return self.top * self._th4(z) / th1 if th1 else math.inf
+        return self.c * self._th1(z) / self._th4(z)
 
 
-def rect_boundary_to_halfplane(R: RectanglePolygon) -> tuple[float, ...]:
-    """Real images y_1 < ... < y_2N of the marked points.
+def _mp_boundary_map(L: float):
+    """`_BoundaryMap` in mpmath at the working precision: the same
+    quotients through `mpmath.jtheta` at the same nome."""
+    import mpmath
+    from mpmath import jtheta, mpf, pi
+
+    L = mpf(L)
+    wide = L > 2
+    q = mpmath.exp(-pi * (L / 2 if wide else 2 / L))
+    c = jtheta(3, 0, q) / jtheta(4 if wide else 2, 0, q)  # c^2 = 1/k
+
+    def image(s):
+        s = mpf(s) % (2 * L + 2)
+        if L < s <= L + 1 or s > 2 * L + 1:  # sides
+            right = s <= L + 1
+            v = s - L if right else 2 * L + 2 - s
+            if wide:
+                w = c * jtheta(4, pi * v / 2, q) / jtheta(3, pi * v / 2, q)
+            else:
+                y = mpmath.mpc(0, pi * v / L)
+                w = c * (jtheta(2, y, q) / jtheta(3, y, q)).real
+            return w if right else -w
+        top = s > L
+        t = (2 * L + 1 - s if top else s) - L / 2
+        if wide:
+            y = mpmath.mpc(0, pi * t / 2)
+            sn = c * (jtheta(1, y, q) / jtheta(2, y, q)).imag
+        else:
+            sn = c * jtheta(1, pi * t / L, q) / jtheta(4, pi * t / L, q)
+        if top:
+            return c * c / sn if sn else mpmath.inf
+        return sn
+
+    return image
+
+
+def rect_boundary_to_halfplane(R: RectanglePolygon, dps: int | None = None) -> tuple:
+    """Real images y_1 < ... < y_2N of the marked points: floats, or mpf
+    at `dps` digits.
 
     The elliptic map fixes a particular real embedding; when the raw
     images fail to be finite and increasing (some marked point beyond
-    the top-edge midpoint), a Moebius transform w -> -1/(w - p) with p
-    inside the unmarked boundary gap between y_2N and y_1 restores an
-    increasing finite configuration.  Moebius moves leave all
-    probability ratios invariant.
+    the top-edge midpoint, or an image beyond float range), a Moebius
+    transform w -> -1/(w - p) with p inside the unmarked boundary gap
+    between y_2N and y_1 restores an increasing finite configuration.
+    Moebius moves leave all probability ratios invariant.
     """
-    k, kp, K, Kp = theta_moduli(2.0 / R.L)
-    raw = [_halfplane_image(R, k, kp, K, Kp, s) for s in R.marks]
-    finite = all(math.isfinite(w) for w in raw)
-    increasing = finite and all(a < b for a, b in zip(raw, raw[1:]))
-    if increasing:
+    if dps is None:
+        return _normalized(R, _BoundaryMap(R.L))
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return _normalized(R, _mp_boundary_map(R.L))
+
+
+def _normalized(R: RectanglePolygon, image) -> tuple:
+    finite = lambda w: abs(w) < math.inf  # an mpf beyond float range is finite
+    raw = [image(s) for s in R.marks]
+    if all(map(finite, raw)) and all(a < b for a, b in zip(raw, raw[1:])):
         return tuple(raw)
     s_last, s_first = R.marks[-1], R.marks[0]
     gap = s_first - s_last
     for frac in (0.5, 0.375, 0.625, 0.25, 0.75):
-        p = _halfplane_image(R, k, kp, K, Kp, s_last + frac * gap)
-        if math.isfinite(p) and all(w != p for w in raw):
+        p = image(s_last + frac * gap)
+        if finite(p) and all(w != p for w in raw):
             break
     else:
         raise ArithmeticError("could not place a Moebius pole in the boundary gap")
-    out = tuple(-1.0 / (w - p) if math.isfinite(w) else 0.0 for w in raw)
+    out = tuple(-1.0 / (w - p) if finite(w) else 0.0 for w in raw)
     if not all(a < b for a, b in zip(out, out[1:])):
         raise ArithmeticError("normalized images are not increasing")
     return out
 
 
 def rectangle_distribution(R: RectanglePolygon, dps: int | None = None) -> OutcomeDistribution:
-    """Crossing-pattern distribution of a marked rectangle."""
-    return outcome_distribution(R.npoints, rect_boundary_to_halfplane(R), dps=dps)
+    """Crossing-pattern distribution of a marked rectangle; with `dps`
+    set, the images too are computed at that precision."""
+    ys = rect_boundary_to_halfplane(R, dps)
+    return outcome_distribution(R.npoints, dict(enumerate(ys, 1)), dps=dps)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ instead of the labelled site image of a chunk, a fresh generator per
 trial instead of one re-keyed per chunk, and an exact-skeleton Brownian
 bridge estimator instead of the closed-form crossing probability.
 Two lattice helpers only tests need live here too: the vertex id of a
-grid point and the discrete Laplacian residual of a field.
+grid point and the discrete Laplacian residual of a field; so do the
+complete elliptic integrals K, K' of a rectangle, which the theta-quotient
+boundary map no longer reads.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from scipy.sparse.csgraph import connected_components
 
 from mgffcross import coulomb, partition_fn
 from mgffcross.combinat import PairPartition, make_pairing, tau
+from mgffcross.probability import _theta_constants
 
 
 # ---------------------------------------------------------------------------
@@ -368,3 +371,12 @@ def theta_modulus_from_ratio(ratio: float, dps: int = 30) -> float:
         qn = mpmath.exp(-mpmath.pi * mpmath.mpf(ratio))
         k = (mpmath.jtheta(2, 0, qn) / mpmath.jtheta(3, 0, qn)) ** 2
         return float(k)
+
+
+def theta_moduli(ratio: float) -> tuple[float, float, float, float]:
+    """(k, k', K, K') with K'/K = ratio: k = theta2^2/theta3^2, k' =
+    theta4^2/theta3^2 and K = (pi/2) theta3^2 at nome e^(-pi ratio); for
+    ratio < 1 the dual nome e^(-pi/ratio) gives k', k and K'."""
+    th2, th3, th4 = _theta_constants(ratio)
+    k, kp, K = (th2 / th3) ** 2, (th4 / th3) ** 2, 0.5 * math.pi * th3 * th3
+    return (k, kp, K, ratio * K) if ratio >= 1.0 else (kp, k, K / ratio, K)

@@ -136,6 +136,24 @@ def test_prob_negative_probability_fails(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("L", ["0.1", "0.15", "0.25", "0.3"])
+def test_prob_cancellation_fails(capsys, L):
+    # cond * 2^-53 is 1e-2 at L = 0.3 and about 1-5 below 0.25: the float
+    # numerators cannot hold the (1-q)^4 entry to 1e-10
+    for extra in ((), ("--json",)):
+        code, out, err = run_cli(capsys, "prob", "--rectangle", L, *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("L", ["0.6", "1", "2", "6"])
+def test_prob_well_conditioned_rectangles_print(capsys, L):
+    code, out, _ = run_cli(capsys, "prob", "--rectangle", L)
+    assert code == 0
+    assert out.strip().endswith("sum 1.000000000")
+
+
 def test_prob_collapsed_rectangle_images_fail(capsys):
     # at L = 25 the float images of the corners round onto -1, -1, 1, 1
     code, out, err = run_cli(capsys, "prob", "--rectangle", "25")
@@ -383,3 +401,18 @@ def test_simulate_imports_no_sparse_graph_code():
         timeout=120, env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_prob_imports_no_scipy():
+    # scipy.special alone cost 0.3 s of a 0.49-s `import mgffcross`
+    src = os.path.dirname(os.path.dirname(mgffcross.__file__))
+    code = (
+        "import sys, mgffcross; from mgffcross import cli; "
+        "code = cli.main(['prob', '--rectangle', '2']); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip().splitlines()[-1] == "0 []"

@@ -23,10 +23,9 @@ from mgffcross.probability import (
     pattern_from_cluster_partitions,
     rect_boundary_to_halfplane,
     rectangle_distribution,
-    theta_moduli,
 )
 
-from oracles import theta_modulus_from_ratio
+from oracles import theta_moduli, theta_modulus_from_ratio
 
 
 def random_points(n, rng, lo=0.25, hi=1.75):
@@ -394,6 +393,85 @@ def test_halfplane_map_preserves_cross_ratio():
     for L in (0.5, 1.0, 3.0):
         y = rect_boundary_to_halfplane(RectanglePolygon.corners(L))
         assert cross_ratio(y) == pytest.approx(cross_ratio_rectangle(L), rel=1e-9)
+
+
+def _ellipfun_images(R, dps=100):
+    """Raw images of R's marks from mpmath.ellipfun.  k and k' come from
+    their own nomes e^(-2 pi/L) and e^(-pi L/2), and dps 100 resolves
+    1 - k'^2 ~ 1e-67 at L = 1/25."""
+    with mpmath.workdps(dps):
+        L = mpmath.mpf(R.L)
+        k = mpmath.kfrom(q=mpmath.exp(-2 * mpmath.pi / L))
+        kp = mpmath.kfrom(q=mpmath.exp(-mpmath.pi * L / 2))
+        K, Kp = mpmath.ellipk(k**2), mpmath.ellipk(kp**2)
+        sn = lambda x: mpmath.ellipfun("sn", 2 * K * (x - L / 2) / L, k=k)
+        dn = lambda v: mpmath.ellipfun("dn", Kp * v, k=kp)
+        out = []
+        for s in map(mpmath.mpf, R.marks):
+            if s <= L:
+                out.append(sn(s))
+            elif s <= L + 1:
+                out.append(1 / dn(s - L))
+            elif s <= 2 * L + 1:
+                out.append(1 / (k * sn(2 * L + 1 - s)))
+            else:
+                out.append(-1 / dn(2 * L + 2 - s))
+        return out
+
+
+def _marked(L):
+    """The corners, and six marks on every edge: y_1 on the left, y_2 at
+    the origin, two on the bottom, one on the right and one on the top,
+    whose raw images already increase."""
+    six = (2 * L + 2 - 0.37, 0.0, 0.31 * L, 0.83 * L, L + 0.85, 1.45 * L + 1)
+    return [RectanglePolygon.corners(L), RectanglePolygon(L, six)]
+
+
+@pytest.mark.parametrize("L", [25.0 ** (j / 6) for j in range(-6, 7)])
+def test_halfplane_images_against_ellipfun(L):
+    for R in _marked(L):
+        image = probability._BoundaryMap(L)
+        for s, want in zip(R.marks, _ellipfun_images(R)):
+            assert image(s) == pytest.approx(float(want), rel=1e-14, abs=1e-17)
+
+
+@pytest.mark.parametrize("L", [10.0 ** (j / 4) for j in range(-12, 13)])
+def test_halfplane_images_stay_finite_at_extreme_ratios(L):
+    # sides at heights v where e^(pi v/L) < 1e273; the top edge and the
+    # corners reach 1/k ~ e^(pi/L)/4, beyond float range for L < 0.0044
+    v = min(0.2, 0.2 * L)
+    marks = [0.0, 0.3 * L, 0.8 * L, L + v, 2 * L + 2 - v, 2 * L + 2 - v / 2]
+    top = [L + 1.0, 1.3 * L + 1.0, 2.0 * L + 1.0]
+    image = probability._BoundaryMap(L)
+    for s in marks + top:
+        w = image(s)
+        assert isinstance(w, float) and not math.isnan(w)
+        assert math.isfinite(w) or (s in top and L < 0.0045)
+    for R in _marked(L):
+        try:
+            y = rect_boundary_to_halfplane(R)
+        except ArithmeticError as exc:  # collapsed or overflowing images
+            assert type(exc) is ArithmeticError
+        else:
+            assert all(map(math.isfinite, y)) and list(y) == sorted(set(y))
+
+
+@pytest.mark.parametrize("L", [0.6, 2.0, 6.0])
+def test_halfplane_images_at_dps(L):
+    for R in _marked(L):
+        got = rect_boundary_to_halfplane(R, dps=30)
+        assert all(isinstance(w, mpmath.mpf) for w in got)
+        for w, want in zip(got, _ellipfun_images(R, 60)):
+            assert abs(w - want) <= 1e-25 * abs(want)
+
+
+def test_rectangle_distribution_at_dps_covers_the_geometry():
+    # at L = 0.5 the float route is off by 2e-10 in (1-q)^4; dps=30
+    # carries images and sums at 30 digits
+    q, one_minus_q = _lambda_mp(0.5)
+    want = (one_minus_q**4, 2 * q * one_minus_q * (2 - q + q * q), q**4)
+    got = rectangle_distribution(RectanglePolygon.corners(0.5), dps=30).probs
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_six_mark_rectangle_maps_and_normalizes():
