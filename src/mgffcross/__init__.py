@@ -41,8 +41,6 @@ from .incidence import incidence_matrix, inverse_incidence
 from .partition_fn import CONSTANTS, fused_pure_partition, pure_partition, z_mgff_total
 from .probability import (
     RectanglePolygon,
-    connection_probability,
-    crossing_probability,
     outcome_distribution,
     rectangle_distribution,
 )

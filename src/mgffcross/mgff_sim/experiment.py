@@ -35,11 +35,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..combinat import LinkPattern, enumerate_link_patterns
+from ..combinat import LinkPattern
 from ..probability import (
     RectanglePolygon,
     cluster_pattern_table,
-    crossing_probability,
+    outcome_distribution,
     rect_boundary_to_halfplane,
 )
 from .kernels import pair_bit, percolate_batch, resolve_kernel
@@ -285,15 +285,13 @@ def _run_chunk(
 
 
 def _run_mesh(
-    R: RectanglePolygon,
+    spec: LatticeSpec,
     cfg: SimConfig,
     mesh_index: int,
-    ny: int,
     table: dict,
     npatterns: int,
 ) -> MeshResult:
     start = time.perf_counter()
-    spec = build_lattice(R, ny)
     harm = harmonic_extension(spec, cfg.mu).values
     base = mesh_index * cfg.trials
     chunk, workers = chunk_plan(cfg, spec)
@@ -338,9 +336,11 @@ def run_experiment(R: RectanglePolygon, cfg: SimConfig) -> ExperimentReport:
     """Full sweep over the configured mesh levels at one mu."""
     npts = R.npoints
     n = npts // 2
-    patterns = enumerate_link_patterns((2,) * npts)
-    ys = rect_boundary_to_halfplane(R)
-    theory = tuple(float(crossing_probability(p, ys)) for p in patterns)
+    # a mesh too coarse for the rectangle is a usage error: raise it
+    # before the theory column can fail on the same thin rectangle
+    specs = [build_lattice(R, ny) for ny in cfg.meshes]
+    dist = outcome_distribution(npts, rect_boundary_to_halfplane(R))
+    patterns, theory = dist.patterns, dist.probs
     pat_index = {p: i for i, p in enumerate(patterns)}
     table = {
         (partition_mask(pos, n), partition_mask(neg, n)): pat_index[pat]
@@ -348,7 +348,7 @@ def run_experiment(R: RectanglePolygon, cfg: SimConfig) -> ExperimentReport:
     }
 
     results = tuple(
-        _run_mesh(R, cfg, mi, ny, table, len(patterns)) for mi, ny in enumerate(cfg.meshes)
+        _run_mesh(spec, cfg, mi, table, len(patterns)) for mi, spec in enumerate(specs)
     )
     return ExperimentReport(R, cfg, patterns, theory, results)
 

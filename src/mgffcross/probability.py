@@ -1,13 +1,13 @@
-"""Connection and crossing probabilities, and rectangle geometry.
+"""Crossing probabilities and rectangle geometry.
 
-Connection probabilities of level lines started from a boundary pairing
-are ratios Z_beta / U_alpha weighted by the incidence matrix.  Crossing
-probabilities of the two-valued boundary structure (sign clusters
-touching prescribed boundary arcs) are ratios Zhat_pattern / Z_total in
-the fused variables.  `outcome_distribution` and `condition` read one
-compiled table per point count, holding Z_total and every reachable
-numerator, so one pass evaluates a configuration; each probability keeps
-the bits of `crossing_probability`'s division.
+Crossing probabilities of the two-valued boundary structure (sign
+clusters touching prescribed boundary arcs) are ratios
+Zhat_pattern / Z_total in the fused variables, zero for a pattern whose
+slot lift is unreachable from the ground-state pairing.
+`outcome_distribution` and `condition` read one compiled table per point
+count, holding Z_total and every reachable numerator, so one pass
+evaluates a configuration; each probability is the plain float division
+of the two sums, with the bits of evaluating each combo on its own.
 
 For a rectangle with alternating-sign boundary arcs the marked points
 are carried to the real line by the elliptic map of the rectangle onto
@@ -32,51 +32,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import coulomb, incidence, partition_fn
-from .combinat import (
-    LinkPattern,
-    PairPartition,
-    enumerate_link_patterns,
-    make_pattern,
-    tau,
-)
+from .combinat import LinkPattern, enumerate_link_patterns, make_pattern, tau
 from .errors import IncompatiblePartitionsError
 from .partition_fn import as_point_dict
 
 
 # ---------------------------------------------------------------------------
 # Probabilities in half-plane coordinates
-
-
-def connection_probability(a: PairPartition, b: PairPartition, x, dps: int | None = None):
-    """Probability that level lines with boundary pairing a hook up as b.
-
-    Equals arrow(a, b) * Z_b(x) / U_a(x); zero unless every link of b
-    joins an up-position of a to a down-position.
-    """
-    if not incidence.arrow_relation(a, b):
-        return 0.0
-    xs = as_point_dict(x)
-    num = coulomb.evaluate(partition_fn.pure_partition(b), xs, dps=dps)
-    den = coulomb.evaluate(partition_fn.conformal_block(a), xs, dps=dps)
-    return num / den
-
-
-def crossing_probability(p: LinkPattern, y, dps: int | None = None):
-    """Probability that the sign clusters imprint link pattern p on the
-    marked points y_1 < ... < y_2N.
-
-    Equals arrow(omega, tau(p)) * Zhat_p(y) / Z_total(y); patterns whose
-    slot lift is not reachable from the ground-state pairing have
-    probability zero.
-    """
-    n2 = p.npoints
-    om = partition_fn.omega_pairing(n2)
-    if not incidence.arrow_relation(om, tau(p)):
-        return 0.0
-    ys = as_point_dict(y)
-    num = coulomb.evaluate(partition_fn.fused_pure_partition(p), ys, dps=dps)
-    den = coulomb.evaluate(partition_fn.z_mgff_total(n2), ys, dps=dps)
-    return num / den
 
 
 @lru_cache(maxsize=None)
@@ -126,9 +88,9 @@ class OutcomeDistribution:
 
 
 def outcome_distribution(npoints: int, y, dps: int | None = None) -> OutcomeDistribution:
-    """Distribution over all valence-2 patterns on `npoints` marked points;
-    entry by entry the division `crossing_probability` does, with the total
-    and every reachable numerator read from one compiled table."""
+    """Distribution over all valence-2 patterns on `npoints` marked points:
+    entry by entry arrow(omega, tau(p)) * Zhat_p(y) / Z_total(y), with the
+    total and every reachable numerator read from one compiled table."""
     den, *nums = _table(npoints).sums(as_point_dict(y), dps)
     nums = iter(nums)
     table = _numerators(npoints)

@@ -1,18 +1,20 @@
 """Independent numerical checks: null-field PDEs, Moebius covariance,
 collapse asymptotics, positivity and upper bounds.
 
-All differential checks run in mpmath extended precision with central
-differences; residuals are reported relative to |f| times the natural
-scale min_gap^(-order), so a correct function scores ~1e-8 or better at
-step 1e-3 while a perturbed one scores order one.  Nothing here shares
-code with the symbolic fusion route beyond the evaluator, which is the
-point: these are the cross-checks.
+The differential checks take every derivative in closed form, term by
+term: a term T = c * prod (x_b - x_a)^e has d_i T = T * sum +-e/(x_b - x_a),
+so each derivative the operators use is T times a polynomial in such
+sums, evaluated in one float pass and summed by `math.fsum`.  Residuals
+are reported relative to |f| times the natural scale min_gap^(-order),
+so a correct function scores near rounding (~1e-11 or better) while a
+perturbed one scores order one.  Nothing here shares code with the
+symbolic fusion route beyond the evaluator, which is the point: these
+are the cross-checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -22,170 +24,89 @@ from .combinat import (
     PairPartition,
     enumerate_link_patterns,
     enumerate_pairings,
-    make_pairing,
 )
 from .coulomb import MonomialCombo
 from .partition_fn import CONSTANTS, as_point_dict
 
 
-@dataclass(frozen=True)
-class PdeOperatorSpec:
-    """Order (2 or 3) and per-point conformal weights of a null-field check."""
+def _residual(f: MonomialCombo, x, j: int, order: int, op) -> float:
+    """|sum_T T * op(g, dg, ddg, others)| / (|f| * min_gap^-order), one
+    float pass over the terms T = c * prod (x_b - x_a)^e of f.
 
-    order: int
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.order not in (2, 3):
-            raise ValueError("supported operator orders are 2 and 3")
-
-
-def _uniform_weights(npoints: int, w: Fraction) -> tuple[Fraction, ...]:
-    return (w,) * npoints
-
-
-def default_operator(order: int, npoints: int) -> PdeOperatorSpec:
-    """Weight h=1/4 per unfused point (order 2), H=1 per fused (order 3)."""
-    w = CONSTANTS.h if order == 2 else CONSTANTS.H
-    return PdeOperatorSpec(order, _uniform_weights(npoints, w))
-
-
-class _MpEval:
-    """Point evaluations of a combo with shifted coordinates, cached."""
-
-    def __init__(self, f: MonomialCombo, x: dict[int, float], step: float, dps: int):
-        self.f = f
-        self.dps = dps
-        self.labels = sorted(x)
-        with mpmath.workdps(dps):
-            self.x0 = {k: mpmath.mpf(v) for k, v in x.items()}
-            self.h = mpmath.mpf(step)
-        self.cache: dict[tuple[tuple[int, int], ...], mpmath.mpf] = {}
-
-    def __call__(self, shifts: dict[int, int] = {}):
-        key = tuple(sorted(shifts.items()))
-        got = self.cache.get(key)
-        if got is None:
-            with mpmath.workdps(self.dps):
-                pt = dict(self.x0)
-                for lab, mult in shifts.items():
-                    pt[lab] = pt[lab] + mult * self.h
-                got = coulomb.evaluate(self.f, pt, dps=self.dps)
-            self.cache[key] = got
-        return got
-
-    # fourth-order central stencils: truncation ~ h^4 * f^(n+4), far below
-    # the check tolerances even on configurations with gaps near 1/4
-
-    def d1(self, i):
-        return (
-            -self({i: 2}) + 8 * self({i: 1}) - 8 * self({i: -1}) + self({i: -2})
-        ) / (12 * self.h)
-
-    def d2(self, i):
-        return (
-            -self({i: 2})
-            + 16 * self({i: 1})
-            - 30 * self()
-            + 16 * self({i: -1})
-            - self({i: -2})
-        ) / (12 * self.h**2)
-
-    def d3(self, i):
-        return (
-            -self({i: 3})
-            + 8 * self({i: 2})
-            - 13 * self({i: 1})
-            + 13 * self({i: -1})
-            - 8 * self({i: -2})
-            + self({i: -3})
-        ) / (8 * self.h**3)
-
-    def d11(self, i, j):
-        w = ((2, -1), (1, 8), (-1, -8), (-2, 1))
-        acc = mpmath.mpf(0)
-        for si, wi in w:
-            for sj, wj in w:
-                acc += wi * wj * self({i: si, j: sj})
-        return acc / (144 * self.h**2)
+    d_i T = T g_i with g_i = sum e s_i/(x_b - x_a), s_i = d_i (x_b - x_a)
+    in {-1, 0, 1}; op receives g, dg[i] = d_i g_j = -sum e s_i s_j/d^2,
+    ddg = d_j^2 g_j = sum 2 e s_j/d^3, and the pairs (i, x_i - x_j) over
+    the labels i != j, so every derivative is closed form.
+    """
+    xd = as_point_dict(x)
+    labels = sorted(xd)
+    gap = min(xd[b] - xd[a] for a, b in zip(labels, labels[1:]))
+    if not gap > 0:
+        raise ValueError("points must increase with their labels")
+    others = [(i, xd[i] - xd[j]) for i in labels if i != j]
+    values, parts = [], []
+    for key, c in f.terms.items():
+        t, g, dg, ddg = float(c), dict.fromkeys(labels, 0.0), dict.fromkeys(labels, 0.0), 0.0
+        for (a, b), e2 in key:
+            d, e = xd[b] - xd[a], e2 / 2
+            t *= d**e
+            g[a] -= e / d
+            g[b] += e / d
+            if j in (a, b):
+                s = e / d**2 if j == b else -e / d**2
+                dg[a] += s
+                dg[b] -= s
+                ddg += 2 * s / d
+        values.append(t)
+        parts.append(t * op(g, dg, ddg, others))
+    scale = abs(math.fsum(values)) / gap**order
+    if scale == 0:
+        raise ValueError("function vanishes at the test point")
+    return abs(math.fsum(parts)) / scale
 
 
-def _min_gap(x: dict[int, float]) -> float:
-    vals = sorted(x.values())
-    return min(b - a for a, b in zip(vals, vals[1:]))
-
-
-def pde2_residual(
-    f: MonomialCombo,
-    x,
-    j: int,
-    op: PdeOperatorSpec | None = None,
-    step: float = 1e-3,
-    dps: int = 30,
-) -> float:
-    """Normalized residual of the second-order null-field operator at point j:
+def pde2_residual(f: MonomialCombo, x, j: int) -> float:
+    """Normalized residual of the second-order null-field operator at point j,
+    weight h = 1/4 at every point:
 
         (kappa/2) d_j^2 f + sum_{i != j} [ 2/(x_i - x_j) d_i f
-                                           - 2 w_i/(x_i - x_j)^2 f ].
+                                           - 2 h/(x_i - x_j)^2 f ].
 
     Scale: |f| * min_gap^-2.
     """
-    xd = as_point_dict(x)
-    if op is None:
-        op = default_operator(2, len(xd))
-    ev = _MpEval(f, xd, step, dps)
-    with mpmath.workdps(dps):
-        kappa = mpmath.mpf(CONSTANTS.kappa)
-        total = kappa / 2 * ev.d2(j)
-        f0 = ev()
-        for idx, i in enumerate(ev.labels):
-            if i == j:
-                continue
-            d = ev.x0[i] - ev.x0[j]
-            w = mpmath.mpf(op.weights[idx].numerator) / op.weights[idx].denominator
-            total += 2 / d * ev.d1(i) - 2 * w / d**2 * f0
-        scale = abs(f0) / mpmath.mpf(_min_gap(xd)) ** 2
-        if scale == 0:
-            raise ValueError("function vanishes at the test point")
-        return float(abs(total) / scale)
+    k2, w = CONSTANTS.kappa / 2, float(CONSTANTS.h)
+
+    def op(g, dg, ddg, others):
+        out = k2 * (g[j] ** 2 + dg[j])
+        for i, d in others:
+            out += 2 * g[i] / d - 2 * w / d**2
+        return out
+
+    return _residual(f, x, j, 2, op)
 
 
-def pde3_residual(
-    f: MonomialCombo,
-    y,
-    j: int,
-    op: PdeOperatorSpec | None = None,
-    step: float = 1e-3,
-    dps: int = 30,
-) -> float:
-    """Normalized residual of the third-order operator at fused point j:
+def pde3_residual(f: MonomialCombo, y, j: int) -> float:
+    """Normalized residual of the third-order operator at fused point j,
+    weight H = 1 at every point:
 
-        d_j^3 f - 4 sum_{i != j} [ w_i/(y_i - y_j)^2 d_j f
+        d_j^3 f - 4 sum_{i != j} [ H/(y_i - y_j)^2 d_j f
                                    - 1/(y_i - y_j) d_i d_j f ]
-                + 2 sum_{i != j} [ 2 w_i/(y_i - y_j)^3 f
+                + 2 sum_{i != j} [ 2 H/(y_i - y_j)^3 f
                                    - 1/(y_i - y_j)^2 d_i f ].
 
     Scale: |f| * min_gap^-3.
     """
-    yd = as_point_dict(y)
-    if op is None:
-        op = default_operator(3, len(yd))
-    ev = _MpEval(f, yd, step, dps)
-    with mpmath.workdps(dps):
-        total = ev.d3(j)
-        f0 = ev()
-        djf = ev.d1(j)
-        for idx, i in enumerate(ev.labels):
-            if i == j:
-                continue
-            d = ev.x0[i] - ev.x0[j]
-            w = mpmath.mpf(op.weights[idx].numerator) / op.weights[idx].denominator
-            total -= 4 * (w / d**2 * djf - ev.d11(i, j) / d)
-            total += 2 * (2 * w / d**3 * f0 - ev.d1(i) / d**2)
-        scale = abs(f0) / mpmath.mpf(_min_gap(yd)) ** 3
-        if scale == 0:
-            raise ValueError("function vanishes at the test point")
-        return float(abs(total) / scale)
+    w = float(CONSTANTS.H)
+
+    def op(g, dg, ddg, others):
+        gj = g[j]
+        out = gj**3 + 3 * gj * dg[j] + ddg
+        for i, d in others:
+            out -= 4 * (w * gj / d**2 - (g[i] * gj + dg[i]) / d)
+            out += 2 * (2 * w / d**3 - g[i] / d**2)
+        return out
+
+    return _residual(f, y, j, 3, op)
 
 
 def mobius_covariance_check(
@@ -332,7 +253,6 @@ def run_suite(
     seed: int = 0,
     perturb: float = 0.0,
     configs: int = 3,
-    dps: int = 30,
 ) -> list[dict]:
     """Run one named check suite; returns a list of check records with
     fields name, value, tol, ok.  `perturb` != 0 corrupts each checked
@@ -353,7 +273,7 @@ def run_suite(
             g = perturb_combo(f, perturb)
             for x in _sample_configs(npoints, configs, rng):
                 for j in range(1, npoints + 1):
-                    record(f"pde2 {name} j={j}", pde2_residual(g, x, j, dps=dps), 1e-5)
+                    record(f"pde2 {name} j={j}", pde2_residual(g, x, j), 1e-5)
         order3 = [
             (f"Zhat{p.links}", partition_fn.fused_pure_partition(p))
             for p in enumerate_link_patterns((2,) * npoints)
@@ -363,28 +283,17 @@ def run_suite(
             g = perturb_combo(f, perturb)
             for y in _sample_configs(npoints, configs, rng):
                 for j in range(1, npoints + 1):
-                    record(f"pde3 {name} j={j}", pde3_residual(g, y, j, dps=dps), 1e-4)
+                    record(f"pde3 {name} j={j}", pde3_residual(g, y, j), 1e-4)
     elif suite == "cov":
         n = npoints // 2
+        h, H = (CONSTANTS.h,) * npoints, (CONSTANTS.H,) * npoints
         targets: list[tuple[str, MonomialCombo, tuple[Fraction, ...]]] = []
         for a in enumerate_pairings(n):
-            targets.append(
-                (f"Z{a.links}", partition_fn.pure_partition(a), _uniform_weights(npoints, CONSTANTS.h))
-            )
-            targets.append(
-                (f"U{a.links}", partition_fn.conformal_block(a), _uniform_weights(npoints, CONSTANTS.h))
-            )
+            targets.append((f"Z{a.links}", partition_fn.pure_partition(a), h))
+            targets.append((f"U{a.links}", partition_fn.conformal_block(a), h))
         for p in enumerate_link_patterns((2,) * npoints):
-            targets.append(
-                (
-                    f"Zhat{p.links}",
-                    partition_fn.fused_pure_partition(p),
-                    _uniform_weights(npoints, CONSTANTS.H),
-                )
-            )
-        targets.append(
-            ("Ztotal", partition_fn.z_mgff_total(npoints), _uniform_weights(npoints, CONSTANTS.H))
-        )
+            targets.append((f"Zhat{p.links}", partition_fn.fused_pure_partition(p), H))
+        targets.append(("Ztotal", partition_fn.z_mgff_total(npoints), H))
         maps = [(1.0, 0.3, 0.0, 1.0), (1.3, 0.0, 0.0, 0.7)]
         for _ in range(20):
             c = float(rng.uniform(0.05, 0.3))
@@ -399,7 +308,7 @@ def run_suite(
                         continue
                     record(
                         f"mobius {name} {abcd}",
-                        mobius_covariance_check(g, w, x, abcd, dps=dps + 10),
+                        mobius_covariance_check(g, w, x, abcd),
                         1e-9,
                     )
     elif suite == "asy":

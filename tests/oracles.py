@@ -11,7 +11,10 @@ bridge estimator instead of the closed-form crossing probability.
 Two lattice helpers only tests need live here too: the vertex id of a
 grid point and the discrete Laplacian residual of a field; so do the
 complete elliptic integrals K, K' of a rectangle, which the theta-quotient
-boundary map no longer reads.
+boundary map no longer reads, and the connection probability between
+pairings, which no library route uses.  The null-field residuals are
+recomputed with `mpmath.diff` derivatives instead of the closed-form
+term derivatives.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import scipy.sparse
 import sympy as sp
 from scipy.sparse.csgraph import connected_components
 
-from mgffcross import coulomb, partition_fn
+from mgffcross import coulomb, incidence, partition_fn
 from mgffcross.combinat import PairPartition, make_pairing, tau
 from mgffcross.probability import _theta_constants
 
@@ -200,6 +203,56 @@ def richardson_collapse(f, r: float, gaps=(1e-2, 1e-3, 1e-4), dps: int = 40, ste
                     w *= sj / (sj - si)
             total += w * vi
         return float(total)
+
+
+# ---------------------------------------------------------------------------
+# Connection probabilities and null-field residuals
+
+
+def connection_probability(a: PairPartition, b: PairPartition, x) -> float:
+    """Probability that level lines with boundary pairing a hook up as b:
+    arrow(a, b) * Z_b(x) / U_a(x), zero unless every link of b joins an
+    up-position of a to a down-position."""
+    if not incidence.arrow_relation(a, b):
+        return 0.0
+    xs = partition_fn.as_point_dict(x)
+    num = coulomb.evaluate(partition_fn.pure_partition(b), xs)
+    return num / coulomb.evaluate(partition_fn.conformal_block(a), xs)
+
+
+def mp_pde_residual(f, x, j: int, order: int, dps: int = 30) -> float:
+    """The normalized residual of `verify.pde2_residual` (order 2, weight
+    h) or `pde3_residual` (order 3, weight H) with every derivative taken
+    by `mpmath.diff`.  diff raises the working precision for its step, so
+    each evaluation runs at the precision current at the call."""
+    xd = partition_fn.as_point_dict(x)
+    labels = sorted(xd)
+    c = partition_fn.CONSTANTS
+    with mpmath.workdps(dps):
+        x0 = [mpmath.mpf(xd[k]) for k in labels]
+        w = c.h if order == 2 else c.H
+        w = mpmath.mpf(w.numerator) / w.denominator
+
+        def F(*v):
+            return coulomb.evaluate(f, dict(zip(labels, v)), dps=mpmath.mp.dps)
+
+        def D(*idx):  # partial derivative along the listed labels
+            return mpmath.diff(F, x0, tuple(idx.count(k) for k in labels))
+
+        f0 = F(*x0)
+        xj = x0[labels.index(j)]
+        others = [(i, xi - xj) for i, xi in zip(labels, x0) if i != j]
+        if order == 2:
+            total = mpmath.mpf(c.kappa) / 2 * D(j, j)
+            for i, d in others:
+                total += 2 / d * D(i) - 2 * w / d**2 * f0
+        else:
+            total, dj = D(j, j, j), D(j)
+            for i, d in others:
+                total -= 4 * (w / d**2 * dj - D(i, j) / d)
+                total += 2 * (2 * w / d**3 * f0 - D(i) / d**2)
+        gap = min(b - a for a, b in zip(x0, x0[1:]))
+        return float(abs(total) * gap**order / abs(f0))
 
 
 # ---------------------------------------------------------------------------

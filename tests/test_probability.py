@@ -15,17 +15,15 @@ from mgffcross.probability import (
     RectanglePolygon,
     canonical_partition,
     cluster_pattern_table,
-    connection_probability,
     cross_ratio,
     cross_ratio_rectangle,
-    crossing_probability,
     outcome_distribution,
     pattern_from_cluster_partitions,
     rect_boundary_to_halfplane,
     rectangle_distribution,
 )
 
-from oracles import theta_moduli, theta_modulus_from_ratio
+from oracles import connection_probability, theta_moduli, theta_modulus_from_ratio
 
 
 def random_points(n, rng, lo=0.25, hi=1.75):
@@ -135,15 +133,12 @@ def test_crossing_probability_mobius_invariant():
     # order-preserving maps
     rng = random.Random(17)
     y = random_points(4, rng)
-    pats = enumerate_link_patterns((2, 2, 2, 2))
+    want = outcome_distribution(4, y).probs
     for a, b, c, d in ((1.7, 0.4, 0.0, 1.0), (1.0, 0.0, 0.05, 3.0), (0.6, -0.2, 0.1, 5.0)):
         phi = lambda v: (a * v + b) / (c * v + d)
         mapped = tuple(phi(v) for v in y)
         assert mapped == tuple(sorted(mapped))
-        for p in pats:
-            assert crossing_probability(p, mapped) == pytest.approx(
-                crossing_probability(p, y), rel=1e-9
-            )
+        assert outcome_distribution(4, mapped).probs == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("npoints", [4, 6])
@@ -165,7 +160,6 @@ def test_probabilities_are_the_plain_ratio_of_evaluations(npoints):
                 assert coulomb.evaluate(twin, ys) == coulomb.evaluate(fused, ys)
             else:
                 want = 0.0
-            assert crossing_probability(p, y) == want
             assert prob == want
 
 

@@ -9,7 +9,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mgffcross.probability import RectanglePolygon, cluster_pattern_table
+from mgffcross import probability
+from mgffcross.probability import (
+    RectanglePolygon,
+    cluster_pattern_table,
+    outcome_distribution,
+    rect_boundary_to_halfplane,
+)
 from mgffcross.mgff_sim.lattice import (
     LatticeField,
     boundary_values,
@@ -511,6 +517,18 @@ def test_run_experiment_counts_are_conserved():
         for c, f, lo, hi in zip(m.counts, m.freqs, m.ci_low, m.ci_high):
             assert f == c / 400
             assert lo <= f <= hi
+
+
+def test_run_experiment_theory_is_the_outcome_distribution():
+    # the theory column is read from the one compiled table per point
+    # count: the same bits, and no numerator keeps a table of its own
+    R = RectanglePolygon(2.0, (5.2, 0.0, 0.7, 2.0, 3.0, 3.9))
+    nums = [num for _, num in probability._numerators(6) if num is not None]
+    for num in nums:
+        num._compiled = None  # other tests evaluate the cached combos directly
+    rep = run_experiment(R, base_config(trials=50, meshes=(4,)))
+    assert rep.theory == outcome_distribution(6, rect_boundary_to_halfplane(R)).probs
+    assert all(num._compiled is None for num in nums)
 
 
 def test_run_experiment_deterministic_across_threads_and_chunks():

@@ -9,10 +9,8 @@ from mgffcross.combinat import enumerate_link_patterns, make_pairing
 from mgffcross.coulomb import MonomialCombo
 from mgffcross.partition_fn import CONSTANTS
 from mgffcross.verify import (
-    PdeOperatorSpec,
     asymptotics_check,
     bounds_check,
-    default_operator,
     mobius_covariance_check,
     pde2_residual,
     pde3_residual,
@@ -21,6 +19,8 @@ from mgffcross.verify import (
     upper_bound_combo,
 )
 
+from oracles import mp_pde_residual
+
 ZIGZAG = make_pairing([(1, 2), (3, 4)])
 RAINBOW = make_pairing([(1, 4), (2, 3)])
 X4 = (0.0, 0.9, 2.1, 3.4)
@@ -28,26 +28,6 @@ X4 = (0.0, 0.9, 2.1, 3.4)
 
 def uniform_weights(npoints, w):
     return tuple(Fraction(w) for _ in range(npoints))
-
-
-# ---------------------------------------------------------------------------
-# operators
-
-
-def test_default_operator():
-    op2 = default_operator(2, 4)
-    assert op2.order == 2
-    assert op2.weights == uniform_weights(4, CONSTANTS.h)
-    op3 = default_operator(3, 4)
-    assert op3.order == 3
-    assert op3.weights == uniform_weights(4, CONSTANTS.H)
-    with pytest.raises(ValueError):
-        default_operator(4, 4)
-
-
-def test_operator_spec_validation():
-    with pytest.raises(ValueError):
-        PdeOperatorSpec(order=1, weights=(Fraction(1),))
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +63,28 @@ def test_pde2_rejects_vanishing_function():
     f = MonomialCombo.monomial(0, {})
     with pytest.raises(ValueError):
         pde2_residual(f + MonomialCombo.zero(), X4, 1)
+
+
+def test_residuals_reject_unordered_points():
+    f = partition_fn.pure_partition(ZIGZAG)
+    with pytest.raises(ValueError, match="increase"):
+        pde2_residual(f, {1: 0.0, 2: 2.1, 3: 0.9, 4: 3.4}, 1)
+    with pytest.raises(ValueError, match="increase"):
+        pde3_residual(f, {1: 0.0, 2: 0.9, 3: 0.9, 4: 3.4}, 1)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_residuals_match_mpmath_diff_oracle(order):
+    # perturbed, so the residuals are order 1e-3 rather than rounding noise
+    if order == 2:
+        combos, residual = [partition_fn.pure_partition(a) for a in (ZIGZAG, RAINBOW)], pde2_residual
+    else:
+        pats = enumerate_link_patterns((2, 2, 2, 2))
+        combos, residual = [partition_fn.fused_pure_partition(p) for p in pats], pde3_residual
+    for f in combos:
+        g = perturb_combo(f, 1e-2)
+        for j in range(1, 5):
+            assert residual(g, X4, j) == pytest.approx(mp_pde_residual(g, X4, j, order), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
