@@ -217,8 +217,8 @@ def _cmd_simulate(args, argv: list[str]) -> int:
     import numpy
     import scipy
 
+    from . import probability
     from .mgff_sim import experiment, kernels
-    from .probability import RectanglePolygon
 
     r = _Resolver(args)
     L = r.get("L", float, 1.0)
@@ -237,8 +237,12 @@ def _cmd_simulate(args, argv: list[str]) -> int:
     csv_path, json_path, man_path = out + ".csv", out + ".json", out + ".manifest.json"
     man_ref = os.path.basename(man_path)
 
-    R = RectanglePolygon.corners(L)
+    R = probability.RectanglePolygon.corners(L)
     reports = experiment.sweep_mu(R, cfg, mus)
+    # a record of how far the theory column's sums may amplify rounding,
+    # not a guard: MAX_REL_ERROR would refuse L = 0.5 (cond 5e6), which
+    # the acceptance gates simulate
+    theory_cond = probability.condition(R.npoints, probability.rect_boundary_to_halfplane(R))
 
     lines = [f"# manifest: {man_ref}", experiment.CSV_HEADER]
     for mu, rep in zip(mus, reports):
@@ -278,6 +282,7 @@ def _cmd_simulate(args, argv: list[str]) -> int:
             "kernel": kernels.resolve_kernel(cfg.kernel),
             "threads": max(m.threads for rep in reports for m in rep.meshes),
             "cpu_count": os.cpu_count(),
+            "theory_cond": theory_cond,
             "versions": {
                 "numpy": numpy.__version__,
                 "scipy": scipy.__version__,

@@ -5,7 +5,8 @@ height 0 staying nonnegative.  Up-steps and down-steps pair up by the
 matching-parenthesis rule (a down-step closes the most recent unmatched
 up-step), which is a bijection onto planar (non-crossing) pair
 partitions of {1..2N}.  Both carriers are counted by the Catalan
-numbers.
+numbers.  A pairing records its up-step positions once, as `ups`; the
+arrow relation, the Dyck path and the conformal-block signs all read it.
 
 Link patterns generalize pair partitions to points of higher valence:
 a multiset of chords on points 1..p, point i meeting s_i chord ends,
@@ -13,6 +14,11 @@ drawable in the disk without crossings.  Splitting point j into s_j
 consecutive boundary slots turns a planar link pattern into an ordinary
 non-crossing perfect matching of the slots; for patterns without
 isolated doubled points that lift is unique, and `tau` computes it.
+One stack scan, `_slot_lifts`, serves both directions: given a
+pattern's links it finds that pattern's lifts (for `LinkPattern` and
+`tau`); given none it yields every slot matching whose chords join
+distinct points, which `enumerate_link_patterns` projects to valence-2
+patterns.
 
 Points are 1-based throughout.  Pairs are stored as (a, b) with a < b,
 link lists sorted, so equal objects compare and hash equal.
@@ -20,6 +26,7 @@ link lists sorted, so equal objects compare and hash equal.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -148,10 +155,12 @@ class PairPartition:
 
     Stored as ((a_1,b_1), ..., (a_N,b_N)) with a_j < b_j and
     a_1 < a_2 < ... < a_N.  The a_j are the up-step positions of the
-    corresponding Dyck path and the b_j the matching down-steps.
+    corresponding Dyck path and the b_j the matching down-steps; `ups`
+    holds the a_j as a set, worked out once here.
     """
 
     links: tuple[tuple[int, int], ...]
+    ups: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -168,24 +177,11 @@ class PairPartition:
             for c, d in self.links[i + 1 :]:
                 if a < c < b < d:
                     raise ValueError(f"pairs ({a},{b}) and ({c},{d}) cross")
+        object.__setattr__(self, "ups", frozenset(a for a, _ in self.links))
 
     @property
     def n(self) -> int:
         return len(self.links)
-
-    def a_points(self) -> frozenset[int]:
-        return frozenset(a for a, _ in self.links)
-
-    def b_points(self) -> frozenset[int]:
-        return frozenset(b for _, b in self.links)
-
-    def partner(self, i: int) -> int:
-        for a, b in self.links:
-            if a == i:
-                return b
-            if b == i:
-                return a
-        raise ValueError(f"index {i} out of range")
 
 
 def make_pairing(pairs) -> PairPartition:
@@ -196,10 +192,9 @@ def make_pairing(pairs) -> PairPartition:
 
 def dyck_from_pairing(p: PairPartition) -> DyckPath:
     """Up-step at each a_j, down-step at each b_j."""
-    ups = p.a_points()
     heights = [0]
     for k in range(1, 2 * p.n + 1):
-        heights.append(heights[-1] + (1 if k in ups else -1))
+        heights.append(heights[-1] + (1 if k in p.ups else -1))
     return DyckPath(tuple(heights))
 
 
@@ -253,7 +248,7 @@ class LinkPattern:
         if 0 in val:
             raise ValueError("every point in 1..p must meet a chord")
         object.__setattr__(self, "valences", tuple(val))
-        if not _slot_lifts(self.links, self.valences, limit=1):
+        if next(_slot_lifts(self.valences, self.links), None) is None:
             raise ValueError("links cannot be drawn without crossings")
 
     @property
@@ -266,55 +261,45 @@ def make_pattern(links) -> LinkPattern:
     return LinkPattern(canon)
 
 
-def _slot_lifts(links, valences, limit: int) -> list[tuple[tuple[int, int], ...]]:
-    """Non-crossing perfect matchings of the slot circle realizing `links`.
+def _slot_lifts(valences, links=None):
+    """Yield the non-crossing perfect matchings of the slot circle.
 
     Point i owns slots start_i .. start_i + s_i - 1 in boundary order.
     Scans slots left to right keeping a stack of open chord ends: each
-    slot either closes the most recent open slot (consuming a link
-    between the two owning points) or opens.  Returns up to `limit`
-    realizations.
+    slot either closes the most recent open slot, which must belong to
+    another point, or opens.  With `links` given, each closing chord
+    also consumes one link between the two owning points, so the
+    matchings yielded are exactly the lifts realizing `links`.
     """
-    starts = [1]
-    for s in valences:
-        starts.append(starts[-1] + s)
-    total = starts[-1] - 1
-    slot_point = [0] * (total + 1)
-    for i, s in enumerate(valences, start=1):
-        for u in range(starts[i - 1], starts[i]):
-            slot_point[u] = i
-    remaining = Counter(links)
-    results: list[tuple[tuple[int, int], ...]] = []
+    slot_point = [0] + [i for i, s in enumerate(valences, start=1) for _ in range(s)]
+    total = len(slot_point) - 1
+    free = links is None
+    remaining = Counter(links or ())
     stack: list[int] = []
     acc: list[tuple[int, int]] = []
 
-    def scan(s: int) -> None:
-        if len(results) >= limit:
-            return
+    def scan(s: int):
         if s > total:
             if not stack:
-                results.append(tuple(acc))
+                yield tuple(acc)
             return
         if stack:
             u = stack[-1]
-            pu, ps = slot_point[u], slot_point[s]
-            if pu != ps:
-                key = (pu, ps) if pu < ps else (ps, pu)
-                if remaining[key] > 0:
-                    remaining[key] -= 1
-                    stack.pop()
-                    acc.append((u, s))
-                    scan(s + 1)
-                    acc.pop()
-                    stack.append(u)
-                    remaining[key] += 1
+            key = (slot_point[u], slot_point[s])  # slots run in point order
+            if key[0] != key[1] and (free or remaining[key] > 0):
+                remaining[key] -= 1
+                stack.pop()
+                acc.append((u, s))
+                yield from scan(s + 1)
+                acc.pop()
+                stack.append(u)
+                remaining[key] += 1
         if total - s >= len(stack) + 1:
             stack.append(s)
-            scan(s + 1)
+            yield from scan(s + 1)
             stack.pop()
 
-    scan(1)
-    return results
+    yield from scan(1)
 
 
 @lru_cache(maxsize=None)
@@ -326,7 +311,7 @@ def tau(p: LinkPattern) -> PairPartition:
     point, and the drawing is rigid) the lift is unique; ambiguity or
     absence raises ValueError.
     """
-    lifts = _slot_lifts(p.links, p.valences, limit=2)
+    lifts = list(itertools.islice(_slot_lifts(p.valences, p.links), 2))
     if not lifts:
         raise ValueError("pattern admits no non-crossing slot lift")
     if len(lifts) > 1:
@@ -337,57 +322,16 @@ def tau(p: LinkPattern) -> PairPartition:
 def enumerate_link_patterns(valences: tuple[int, ...]) -> tuple[LinkPattern, ...]:
     """All planar link patterns with the given valence vector, sorted by links.
 
-    Supported valence vectors are all-1 (plain pair partitions read as
-    patterns) and all-2; these are the cases used elsewhere.
+    Only all-2 valence vectors are supported.  Their patterns are the
+    projections of the slot matchings that never join the two slots of
+    one point, and distinct matchings project to distinct patterns.
     """
     p = len(valences)
     if p == 0:
         raise ValueError("empty valence vector")
-    if any(s < 1 for s in valences):
-        raise ValueError("valences must be positive")
-    if set(valences) == {1}:
-        if p % 2:
-            raise ValueError("odd total valence")
-        pats = [make_pattern(q.links) for q in enumerate_pairings(p // 2)]
-        return tuple(sorted(pats))
-    if set(valences) == {2}:
-        if catalan(p) > ENUMERATION_CAP:
-            raise CapacityError(f"lift count bound Catalan({p}) exceeds cap")
-        found: set[LinkPattern] = set()
-        for m in _all_valence2_lifts(p):
-            links = [tuple(sorted(((u + 1) // 2, (v + 1) // 2))) for u, v in m]
-            found.add(make_pattern(links))
-        return tuple(sorted(found))
-    raise ValueError(f"unsupported valence vector {valences}")
-
-
-def _all_valence2_lifts(p: int):
-    """Non-crossing matchings of 2p slots with no chord {2j-1, 2j}.
-
-    These are exactly the slot lifts of valence-2 patterns on p points,
-    and distinct matchings project to distinct patterns.
-    """
-    total = 2 * p
-    stack: list[int] = []
-    acc: list[tuple[int, int]] = []
-
-    def scan(s: int):
-        if s > total:
-            if not stack:
-                yield tuple(acc)
-            return
-        if stack:
-            u = stack[-1]
-            # forbid the sibling chord: slots 2j-1, 2j of one point
-            if not (u % 2 == 1 and s == u + 1):
-                stack.pop()
-                acc.append((u, s))
-                yield from scan(s + 1)
-                acc.pop()
-                stack.append(u)
-        if total - s >= len(stack) + 1:
-            stack.append(s)
-            yield from scan(s + 1)
-            stack.pop()
-
-    yield from scan(1)
+    if set(valences) != {2}:
+        raise ValueError(f"unsupported valence vector {valences}")
+    if catalan(p) > ENUMERATION_CAP:
+        raise CapacityError(f"lift count bound Catalan({p}) exceeds cap")
+    pats = (make_pattern(((u + 1) // 2, (v + 1) // 2) for u, v in m) for m in _slot_lifts(valences))
+    return tuple(sorted(pats))

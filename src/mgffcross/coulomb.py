@@ -9,6 +9,11 @@ so the arithmetic is exact end to end.  Variables are integer labels;
 a pair key (a, b) always has a < b and the base is x_b - x_a, which is
 positive on ordered configurations x_a < x_b.
 
+Every operation that builds a combo from terms (`+`, `*`, `rename`,
+`series_coefficient`, and the callers' sums through `combo_sum`) goes
+through one accumulator, `collect`: equal keys add up and zero sums
+drop out.
+
 The main nontrivial operation is `fuse_pair`: substitute
 x_v = x_u + eps and extract the coefficient of eps^r as eps -> 0+,
 verifying that every lower order cancels exactly.  Since only the
@@ -154,16 +159,7 @@ class MonomialCombo:
     # -- ring operations
 
     def __add__(self, other: "MonomialCombo") -> "MonomialCombo":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        res = MonomialCombo()
-        res.terms = out
-        return res
+        return combo_sum((self, other))
 
     def __neg__(self) -> "MonomialCombo":
         res = MonomialCombo()
@@ -183,18 +179,11 @@ class MonomialCombo:
 
     def __mul__(self, other):
         if isinstance(other, MonomialCombo):
-            out: dict[ExpKey, Fraction] = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    key = _canon_exponents(k1 + k2)
-                    s = out.get(key, Fraction(0)) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            res = MonomialCombo()
-            res.terms = out
-            return res
+            return collect(
+                (_canon_exponents(k1 + k2), c1 * c2)
+                for k1, c1 in self.terms.items()
+                for k2, c2 in other.terms.items()
+            )
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -207,12 +196,12 @@ class MonomialCombo:
         img = {v: mapping.get(v, v) for v in self.variables()}
         if len(set(img.values())) != len(img):
             raise ValueError("relabeling must be injective on the variables")
-        out: dict[ExpKey, Fraction] = {}
-        for key, c in self.terms.items():
+
+        def renamed(key, c):
             items = []
             sign = 1
             for (a, b), e2 in key:
-                na, nb = img.get(a, a), img.get(b, b)
+                na, nb = img[a], img[b]
                 if na == nb:
                     raise ValueError("relabeling collapses a pair")
                 if na > nb:
@@ -224,25 +213,31 @@ class MonomialCombo:
                     if (e2 // 2) % 2:
                         sign = -sign
                 items.append(((na, nb), e2))
-            ckey = _canon_exponents(items)
-            s = out.get(ckey, Fraction(0)) + sign * c
-            if s:
-                out[ckey] = s
-            else:
-                out.pop(ckey, None)
-        res = MonomialCombo()
-        res.terms = out
-        return res
+            return _canon_exponents(items), sign * c
 
-    def to_string(self) -> str:
-        """Full exact dump, deterministic order, for debugging."""
-        if not self.terms:
-            return "0"
-        lines = []
-        for key, c in sorted(self.terms.items()):
-            fac = " ".join(f"(x{b}-x{a})^({e2}/2)" for (a, b), e2 in key)
-            lines.append(f"{c} {fac}".rstrip())
-        return "\n".join(lines)
+        return collect(renamed(key, c) for key, c in self.terms.items())
+
+
+def collect(items) -> MonomialCombo:
+    """The combo summing (exp_key, coeff) items: coefficients of equal
+    keys add up, and a key whose sum is zero is dropped."""
+    out: dict[ExpKey, Fraction] = {}
+    for key, c in items:
+        if key not in out:
+            if c:
+                out[key] = c
+        elif s := out[key] + c:
+            out[key] = s
+        else:
+            del out[key]
+    res = MonomialCombo()
+    res.terms = out
+    return res
+
+
+def combo_sum(combos) -> MonomialCombo:
+    """The sum of an iterable of combos, accumulated once."""
+    return collect(item for c in combos for item in c.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +453,9 @@ def series_coefficient(c: MonomialCombo, u: int, v: int, order) -> MonomialCombo
     if r2.denominator != 1:
         raise ValueError("order must be a half-integer")
     r2 = int(r2)
-    out: dict[ExpKey, Fraction] = {}
-    for key, coeff in c.terms.items():
-        for ekey, cc in _term_series(key, coeff, u, v, r2):
-            s = out.get(ekey, Fraction(0)) + cc
-            if s:
-                out[ekey] = s
-            else:
-                out.pop(ekey, None)
-    res = MonomialCombo()
-    res.terms = out
-    return res
+    return collect(
+        piece for key, coeff in c.terms.items() for piece in _term_series(key, coeff, u, v, r2)
+    )
 
 
 def fuse_pair(c: MonomialCombo, u: int, v: int, target: int, r) -> MonomialCombo:

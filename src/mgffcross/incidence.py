@@ -33,7 +33,7 @@ def arrow_relation(a: PairPartition, b: PairPartition) -> int:
     """1 if every link of b joins an a-point of a to a b-point of a, else 0."""
     if a.n != b.n:
         raise ValueError("pairings must have equal size")
-    ups = a.a_points()
+    ups = a.ups
     for x, y in b.links:
         if (x in ups) == (y in ups):
             return 0

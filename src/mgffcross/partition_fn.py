@@ -5,19 +5,22 @@ Conformal blocks are the difference-product monomials
     U_alpha = prod_{i<j} (x_j - x_i)^(theta_alpha(i,j)/2),
 
 where theta is +1 when i and j are both up-step or both down-step
-positions of the pairing alpha and -1 otherwise.  Pure partition
+positions of the pairing alpha and -1 otherwise: it is read off the
+pairing's cached up-step set `ups`, never tabulated.  Pure partition
 functions are the integer recombinations Z_alpha = sum_beta
-Minv[alpha, beta] U_beta with the inverse incidence matrix; they are
-positive on ordered configurations and satisfy the null-field second
-order PDEs.
+Minv[alpha, beta] U_beta with the inverse incidence matrix, summed in
+one pass by `coulomb.combo_sum`; they are positive on ordered
+configurations and satisfy the null-field second order PDEs.
 
 Fusing the points pairwise, x_{2j} -> x_{2j-1}, at normalized order
 +1/2 per pair produces the partition functions of valence-2 insertions:
 Zhat of a link pattern is the full pairwise fusion of Z over the slot
 lift of the pattern, computed in closed form by grouping the fusion
 series of the inverse-incidence row of that lift (whose entries are an
-integer back-substitution, see `incidence`).  The total partition
-function normalizes crossing probabilities.
+integer back-substitution, see `incidence`).  A row entry's peaks and
+valleys at odd positions are read off the same `ups`, and its grouped
+pieces are summed once.  The total partition function normalizes
+crossing probabilities.
 
 All variable labels are 1-based; fused functions live on labels 1..2N.
 """
@@ -31,15 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import coulomb
-from .combinat import (
-    LinkPattern,
-    LocalShape,
-    PairPartition,
-    dyck_from_pairing,
-    local_shape,
-    make_pairing,
-    tau,
-)
+from .combinat import LinkPattern, PairPartition, make_pairing, tau
 from .coulomb import MonomialCombo
 from .incidence import inverse_row
 
@@ -51,20 +46,18 @@ class Constants:
     kappa: SLE parameter of the level lines.
     h: boundary weight of a single marked point.
     H: boundary weight of a fused (valence 2) marked point.
-    lam: height gap unit; boundary data jumps by multiples of 2*lam.
     """
 
     kappa: float = 4.0
     h: Fraction = Fraction(1, 4)
     H: Fraction = Fraction(1)
-    lam: float = math.pi / 2
 
 
 CONSTANTS = Constants()
 
 
 # ---------------------------------------------------------------------------
-# Point configurations and sign tables
+# Point configurations
 
 
 @dataclass(frozen=True)
@@ -97,31 +90,9 @@ def as_point_dict(x) -> dict[int, float]:
     return PointConfig(tuple(x)).as_dict()
 
 
-@dataclass(frozen=True)
-class ThetaTable:
-    """Pair sign table of a pairing: +1 same step type, -1 opposite."""
-
-    pairing: PairPartition
-    signs: tuple[tuple[int, ...], ...]
-
-    def sign(self, i: int, j: int) -> int:
-        if i == j:
-            raise ValueError("theta needs distinct indices")
-        return self.signs[i - 1][j - 1]
-
-
-@lru_cache(maxsize=None)
-def theta_table(p: PairPartition) -> ThetaTable:
-    ups = p.a_points()
-    n2 = 2 * p.n
-    rows = tuple(
-        tuple(
-            0 if i == j else (1 if ((i in ups) == (j in ups)) else -1)
-            for j in range(1, n2 + 1)
-        )
-        for i in range(1, n2 + 1)
-    )
-    return ThetaTable(p, rows)
+def _theta(ups: frozenset[int], i: int, j: int) -> int:
+    """+1 when i and j are both up-step or both down-step positions, else -1."""
+    return 1 if (i in ups) == (j in ups) else -1
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +101,15 @@ def theta_table(p: PairPartition) -> ThetaTable:
 
 def conformal_block(a: PairPartition) -> MonomialCombo:
     """U_a as an exact monomial: exponent theta(i,j)/2 on every pair i<j."""
-    th = theta_table(a)
     n2 = 2 * a.n
-    exps = [((i, j), th.sign(i, j)) for i in range(1, n2 + 1) for j in range(i + 1, n2 + 1)]
-    return MonomialCombo.from_doubled(1, exps)
+    pairs = itertools.combinations(range(1, n2 + 1), 2)
+    return MonomialCombo.from_doubled(1, [((i, j), _theta(a.ups, i, j)) for i, j in pairs])
 
 
 @lru_cache(maxsize=None)
 def pure_partition(a: PairPartition) -> MonomialCombo:
     """Z_a = sum over beta of Minv[a, beta] * U_beta, exact."""
-    out = MonomialCombo.zero()
-    for beta, coeff in inverse_row(a):
-        out = out + conformal_block(beta).scale(coeff)
-    return out
+    return coulomb.combo_sum(conformal_block(beta).scale(coeff) for beta, coeff in inverse_row(a))
 
 
 def fuse_once(a: PairPartition, j: int) -> MonomialCombo:
@@ -199,45 +166,48 @@ def fused_pure_partition(p: LinkPattern) -> MonomialCombo:
     """
     if set(p.valences) != {2}:
         raise ValueError("pattern must have valence 2 at every point")
-    n2 = p.npoints
-    alpha = tau(p)
-    out = MonomialCombo.zero()
+    return coulomb.combo_sum(_grouped_pieces(tau(p), p.npoints))
+
+
+def _grouped_pieces(alpha: PairPartition, n2: int):
+    """One piece of `fused_pure_partition` per surviving beta of the row."""
     for beta, coeff in inverse_row(alpha):
-        d = dyck_from_pairing(beta)
-        shapes = {j: local_shape(d, 2 * j - 1) for j in range(1, n2 + 1)}
-        if any(s is LocalShape.MAX for s in shapes.values()):
+        ups = beta.ups
+        # step 2j-1 up and step 2j down is a peak at 2j-1; down then up, a valley
+        if any(2 * j - 1 in ups and 2 * j not in ups for j in range(1, n2 + 1)):
             continue
-        jset = tuple(j for j in range(1, n2 + 1) if shapes[j] is LocalShape.MIN)
+        jset = tuple(j for j in range(1, n2 + 1) if 2 * j - 1 not in ups and 2 * j in ups)
         rest = tuple(i for i in range(1, n2 + 1) if i not in jset)
-        th = theta_table(beta)
         g_exps = [
-            ((i, i2), 4 * th.sign(2 * i, 2 * i2))
+            ((i, i2), 4 * _theta(ups, 2 * i, 2 * i2))
             for i, i2 in itertools.combinations(rest, 2)
         ]
         gmono = MonomialCombo.from_doubled(1, g_exps)
-        ssum = MonomialCombo.zero()
-        for pairs, unmatched in _partial_matchings(jset):
-            term = MonomialCombo.constant(1)
-            for a_, b_ in pairs:
-                lo, hi = (a_, b_) if a_ < b_ else (b_, a_)
-                term = term * MonomialCombo.from_doubled(2, [((lo, hi), -4)])
-            dead = False
-            for u in unmatched:
-                zu = MonomialCombo.zero()
-                for i in rest:
-                    lo, hi = (i, u) if i < u else (u, i)
-                    orient = 1 if i > u else -1
-                    zu = zu + MonomialCombo.from_doubled(
-                        2 * th.sign(2 * i, 2 * u - 1) * orient, [((lo, hi), -2)]
-                    )
-                if zu.is_zero():
-                    dead = True
-                    break
-                term = term * zu
-            if not dead:
-                ssum = ssum + term
-        out = out + (gmono * ssum).scale(coeff)
-    return out
+        zus = {
+            u: coulomb.combo_sum(
+                MonomialCombo.from_doubled(
+                    2 * _theta(ups, 2 * i, 2 * u - 1) * (1 if i > u else -1),
+                    [((min(i, u), max(i, u)), -2)],
+                )
+                for i in rest
+            )
+            for u in jset
+        }
+        ssum = coulomb.combo_sum(_matching_terms(jset, zus))
+        yield (gmono * ssum).scale(coeff)
+
+
+def _matching_terms(jset: tuple[int, ...], zus: dict[int, MonomialCombo]):
+    """Per partial matching of J: (2 (x_b - x_a)^-2) per matched pair times
+    the factor zus[u] per unmatched u; a zero factor drops the matching."""
+    for pairs, unmatched in _partial_matchings(jset):
+        if any(zus[u].is_zero() for u in unmatched):
+            continue
+        # jset is sorted, so every matched pair (a, b) has a < b
+        term = MonomialCombo.from_doubled(2 ** len(pairs), [(pair, -4) for pair in pairs])
+        for u in unmatched:
+            term = term * zus[u]
+        yield term
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,6 @@ class OutcomeDistribution:
         if abs(s - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {s!r}, not 1")
 
-    def prob_of(self, p: LinkPattern) -> float:
-        return self.probs[self.patterns.index(p)]
-
     def as_json(self) -> list[dict]:
         return [
             {"pattern": [list(l) for l in p.links], "prob": pr}
@@ -159,18 +156,6 @@ class RectanglePolygon:
         """The four corners: y_2 origin, y_3 = (L,0), y_4 = (L,1), y_1 = (0,1).
         Positive arcs are then the left and right edges."""
         return cls(float(L), (2.0 * L + 1.0, 0.0, float(L), L + 1.0))
-
-    def point_xy(self, s: float) -> tuple[float, float]:
-        """Arc length -> cartesian coordinates on the boundary."""
-        L = self.L
-        s = s % self.perimeter
-        if s <= L:
-            return (s, 0.0)
-        if s <= L + 1.0:
-            return (L, s - L)
-        if s <= 2.0 * L + 1.0:
-            return (2.0 * L + 1.0 - s, 1.0)
-        return (0.0, 2.0 * L + 2.0 - s)
 
 
 def _theta_constants(ratio: float) -> tuple[float, float, float]:

@@ -11,6 +11,7 @@ import pytest
 import scipy
 
 import mgffcross
+from mgffcross import probability
 from mgffcross.cli import main
 
 
@@ -226,6 +227,10 @@ def test_simulate_manifest_records_runtime(tmp_path, capsys):
     rt = man["runtime"]
     assert rt["kernel"] == "numpy"
     assert rt["cpu_count"] == os.cpu_count()
+    # the theory column's condition number, at the rectangle's images
+    R = probability.RectanglePolygon.corners(man["config"]["L"])
+    assert rt["theory_cond"] == probability.condition(4, probability.rect_boundary_to_halfplane(R))
+    assert rt["theory_cond"] >= 1
     # 150 trials in chunks of 64 make three chunks: never more workers
     assert rt["threads"] == min(os.cpu_count(), 3)
     assert rt["versions"] == {
@@ -239,10 +244,10 @@ def test_simulate_manifest_records_runtime(tmp_path, capsys):
         assert m["threads"] == min(os.cpu_count(), -(-150 // m["chunk"]))
         assert set(m["stages_s"]) == {"rng", "rng_wait", "dst", "percolate", "tally"}
         assert all(s >= 0 for s in m["stages_s"].values())
-    # timings and chunking stay out of the primary outputs
+    # timings, chunking and the condition number stay out of the primary outputs
     for name in ("run.json", "run.csv"):
         text = (tmp_path / name).read_text()
-        assert "wall" not in text and "stages" not in text and "chunk" not in text
+        assert all(w not in text for w in ("wall", "stages", "chunk", "theory_cond"))
 
 
 def test_simulate_outputs_are_byte_identical(tmp_path, capsys):

@@ -105,9 +105,13 @@ def test_pairing_dyck_bijection(n):
 
 def test_pairing_endpoint_split():
     p = make_pairing([(1, 4), (2, 3)])
-    assert p.a_points() == frozenset({1, 2})
-    assert p.b_points() == frozenset({3, 4})
-    assert p.partner(1) == 4 and p.partner(4) == 1
+    assert p.ups == frozenset({1, 2})
+    # the cached set holds the opening end of every link ...
+    for n in range(1, 5):
+        for q in enumerate_pairings(n):
+            assert q.ups == {a for a, _ in q.links}
+    # ... and plays no part in equality or repr
+    assert p == make_pairing([(2, 3), (1, 4)]) and "ups" not in repr(p)
 
 
 def test_pairing_validation():
@@ -132,8 +136,6 @@ def test_link_pattern_counts():
     # valence-2 patterns on 2, 4, 6, 8 points
     for npoints, count in ((2, 1), (4, 3), (6, 15), (8, 91)):
         assert len(enumerate_link_patterns((2,) * npoints)) == count
-    # valence-1 patterns are plain pairings
-    assert len(enumerate_link_patterns((1,) * 6)) == C.catalan(3)
 
 
 @pytest.mark.parametrize("npoints", (2, 4, 6))
@@ -180,8 +182,12 @@ def test_tau_frozen_four_point_dictionary():
 
 def test_all_valence2_lifts_are_unique():
     for npoints in (2, 4, 6):
-        for p in enumerate_link_patterns((2,) * npoints):
-            assert len(C._slot_lifts(p.links, p.valences, limit=2)) == 1
+        free = list(C._slot_lifts((2,) * npoints))
+        pats = enumerate_link_patterns((2,) * npoints)
+        # every free matching projects to a distinct pattern
+        assert len(free) == len(pats)
+        for p in pats:
+            assert len(list(C._slot_lifts(p.valences, p.links))) == 1
 
 
 def test_enumeration_capacity():

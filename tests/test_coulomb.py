@@ -261,11 +261,3 @@ def test_fuse_pair_relabels_to_target():
     # and the fused label can move elsewhere
     moved = fuse_pair(c, 2, 3, 9, F(1))
     assert set(moved.variables()) == {1, 9}
-
-
-def test_to_string_deterministic():
-    c = _m(F(1, 2), {(1, 2): F(-1, 2)}) + _m(-2, {(1, 3): F(1)})
-    s = c.to_string()
-    assert "(x2-x1)^(-1/2)" in s and "(x3-x1)^(2/2)" in s
-    assert c.to_string() == s
-    assert MonomialCombo.zero().to_string() == "0"

@@ -23,7 +23,6 @@ def test_constants():
     assert c.kappa == 4.0
     assert c.h == F(1, 4)
     assert c.H == F(1)
-    assert c.lam == math.pi / 2
 
 
 def test_point_config():
@@ -39,17 +38,18 @@ def test_point_config():
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_theta_signs_split_by_endpoint_class(n):
+    # U_a is one monomial: +1/2 on every pair of same-class endpoints
+    # (both opening or both closing a link), -1/2 on every mixed pair
     for a in enumerate_pairings(n):
-        t = P.theta_table(a)
-        ups = a.a_points()
-        for i in range(1, 2 * n + 1):
-            for j in range(1, 2 * n + 1):
-                if i == j:
-                    continue
-                want = 1 if ((i in ups) == (j in ups)) else -1
-                assert t.sign(i, j) == want == t.sign(j, i)
-        with pytest.raises(ValueError):
-            t.sign(1, 1)
+        opens = {x for x, _ in a.links}
+        ((key, coeff),) = P.conformal_block(a).terms.items()
+        assert coeff == 1
+        want = {
+            (i, j): 1 if (i in opens) == (j in opens) else -1
+            for i in range(1, 2 * n + 1)
+            for j in range(i + 1, 2 * n + 1)
+        }
+        assert dict(key) == want
 
 
 def test_conformal_block_frozen_values():

@@ -232,11 +232,9 @@ def test_table_keeps_numerators_bare_and_errors_unchanged():
         outcome_distribution(4, {1: 0.0, 2: 2.0, 3: 1.0, 4: 3.0})
 
 
-def test_prob_of_and_json():
+def test_distribution_as_json():
     y = (0.0, 1.0, 2.0, 3.0)
     dist = outcome_distribution(4, y)
-    for pat, prob in zip(dist.patterns, dist.probs):
-        assert dist.prob_of(pat) == prob
     rows = dist.as_json()
     assert len(rows) == 3
     assert rows[2]["prob"] == dist.probs[2]
@@ -354,10 +352,6 @@ def test_corner_rectangle_marks():
     assert R.marks == (5.0, 0.0, 2.0, 3.0)
     assert R.perimeter == 6.0
     assert R.npoints == 4
-    assert R.point_xy(R.marks[0]) == (0.0, 1.0)
-    assert R.point_xy(R.marks[1]) == (0.0, 0.0)
-    assert R.point_xy(R.marks[2]) == (2.0, 0.0)
-    assert R.point_xy(R.marks[3]) == (2.0, 1.0)
 
 
 def test_rectangle_validation():
