@@ -251,15 +251,29 @@ class Compiled:
     slots holds, pair-major in blocks of GATHER_ROWS terms, where each
     factor sits in it.  A pair a combo lacks has e2 = 0 and gathers d^0 =
     1.0, an exact factor, so a combo's sums keep their bits in any table
-    that holds it; one combo is the one-span case."""
+    that holds it; one combo is the one-span case.
 
-    __slots__ = ("pairs", "low", "powers", "odd", "slots", "coef", "exact", "spans")
+    The float pass converts each variable's value once.  It enters
+    `np.errstate` only when some difference lies outside `safe`, the
+    range in which no power, partial product or coefficient multiple of
+    the table can overflow or underflow; outside it lie negative bases,
+    whose half powers are NaN (never gathered), and differences whose
+    powers may leave float range.  Finiteness is checked on each combo's
+    `fsum`, which is non-finite exactly when one of its terms is."""
+
+    __slots__ = (
+        "pairs", "labels", "index", "low", "powers", "odd", "slots", "coef", "exact",
+        "spans", "safe",
+    )
 
     def __init__(self, combos):
         terms = [c.terms for c in combos]
         ends = list(itertools.accumulate(map(len, terms)))
         self.spans = tuple(zip([0] + ends[:-1], ends))
         self.pairs = tuple(sorted({pair for t in terms for key in t for pair, _ in key}))
+        self.labels = tuple(sorted({v for pair in self.pairs for v in pair}))
+        at = {v: i for i, v in enumerate(self.labels)}
+        self.index = tuple((at[a], at[b]) for a, b in self.pairs)
         col = {pair: j for j, pair in enumerate(self.pairs)}
         # terms in dict order: each term's product and the exact fsum do
         # not depend on it, so equal combos still evaluate to equal bits
@@ -275,6 +289,8 @@ class Compiled:
         self.low = min((int(b.min(initial=0)) for b in blocks), default=0)
         high = max((int(b.max(initial=0)) for b in blocks), default=0)
         self.powers = np.arange(self.low, high + 1) / 2
+        # the largest sum of |e2| over a term's pairs
+        degree = max((int(np.abs(b).sum(axis=0).max(initial=0)) for b in blocks), default=0)
         # half-integer powers: a pair with any odd exponent
         odd = np.zeros(len(self.pairs), dtype=np.int64)
         for e2 in blocks:
@@ -286,14 +302,29 @@ class Compiled:
         self.slots = tuple(blocks)
         self.exact = tuple(c for t in terms for c in t.values())
         self.coef = np.fromiter(map(float, self.exact), float, len(self.exact))
+        # with every difference in [2^-r, 2^r], a table entry or partial
+        # product lies within 2^(+-r degree/2) and a term within a further
+        # factor |coef|: all stay between 2^-1000 and 2^1000
+        scale = float(np.abs(np.log2(np.abs(self.coef))).max(initial=0.0))
+        r = (1000.0 - scale) / max(degree, 1) if scale < 1000.0 else 0.0
+        self.safe = (2.0**-r, 2.0**r)
 
     def differences(self, values, conv) -> list:
-        if not hasattr(values, "keys"):
-            values = dict(enumerate(values, 1))
+        """x_b - x_a for every pair, each value converted by conv once:
+        values maps labels to numbers, or a sequence holds labels 1, 2, ..."""
         try:
-            d = [conv(values[b]) - conv(values[a]) for a, b in self.pairs]
+            if hasattr(values, "keys"):
+                x = [conv(values[v]) for v in self.labels]
+            else:  # a sequence holds labels 1, 2, ... at positions 0, 1, ...
+                x = [conv(values[v - 1]) for v in self.labels if v > 0]
         except KeyError as exc:
             raise ValueError(f"no value for variable {exc.args[0]}") from None
+        except IndexError:
+            x = []
+        if len(x) < len(self.labels):  # a label the sequence cannot hold
+            missing = next(v for v in self.labels if not 0 < v <= len(values))
+            raise ValueError(f"no value for variable {missing}")
+        d = [x[b] - x[a] for a, b in self.index]
         if 0 in d:
             raise ValueError(f"coincident points for pair {self.pairs[d.index(0)]}")
         for j in self.odd:
@@ -302,35 +333,55 @@ class Compiled:
         return d
 
     def float_terms(self, values) -> np.ndarray:
-        d = np.array(self.differences(values, float))
-        terms = np.empty(len(self.coef))
-        with np.errstate(all="ignore"):  # NaN powers of negative bases are never gathered
-            pw = np.power(d[:, None], self.powers).ravel()
-            # each term multiplies its factors in pair order, so equal combos
-            # give equal bits; a block at a time keeps the temporary small
+        d = self.differences(values, float)
+        lo, hi = self.safe
+        if d and lo <= min(d) and max(d) <= hi:
+            return self._products(np.array(d))
+        # NaN half powers of negative bases are never gathered, and a term
+        # that overflows fails the finiteness check of the sums
+        with np.errstate(all="ignore"):
+            return self._products(np.array(d))
+
+    def _products(self, d: np.ndarray) -> np.ndarray:
+        pw = np.power(d[:, None], self.powers).ravel()
+        # each term multiplies its factors in pair order, so equal combos
+        # give equal bits; a block at a time keeps the temporary small
+        if len(self.slots) == 1:
+            terms = np.multiply.reduce(pw[self.slots[0]])
+        else:
+            terms = np.empty(len(self.coef))
             for i, block in zip(range(0, len(terms), GATHER_ROWS), self.slots):
                 np.multiply.reduce(pw[block], axis=0, out=terms[i : i + GATHER_ROWS])
-            terms *= self.coef
-        if not np.isfinite(terms).all():
-            raise OverflowError("a term leaves the float range")
+        terms *= self.coef
         return terms
+
+    def _fsums(self, terms: np.ndarray) -> list:
+        """Each span's `math.fsum`; OverflowError when one is not finite,
+        which is when one of its terms is not."""
+        terms = memoryview(terms)  # floats made one at a time, not as one list
+        try:
+            out = [math.fsum(terms[a:b]) for a, b in self.spans]
+            if all(map(math.isfinite, out)):
+                return out
+        except ValueError:  # inf - inf within a span
+            pass
+        raise OverflowError("a term leaves the float range")
 
     def sums(self, values, dps: int | None = None) -> list:
         """Each combo's value at x = values: floats summed by `math.fsum`,
         or mpf with dps set."""
         if dps is not None:
             return self.mp_sums(values, dps)
-        terms = self.float_terms(values)
-        return [math.fsum(terms[a:b].tolist()) for a, b in self.spans]
+        return self._fsums(self.float_terms(values))
 
     def conditions(self, values) -> list[float]:
         """Each combo's summation condition number sum|t_i| / |sum t_i|."""
         terms = self.float_terms(values)
-        size, out = np.abs(terms), []
-        for a, b in self.spans:
-            s = math.fsum(terms[a:b].tolist())
-            out.append(math.fsum(size[a:b].tolist()) / abs(s) if s else math.inf)
-        return out
+        size = memoryview(np.abs(terms))
+        return [
+            math.fsum(size[a:b]) / abs(s) if s else math.inf
+            for s, (a, b) in zip(self._fsums(terms), self.spans)
+        ]
 
     def mp_sums(self, values, dps: int) -> list:
         import mpmath

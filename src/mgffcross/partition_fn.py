@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -67,18 +68,23 @@ class PointConfig:
     xs: tuple[float, ...]
 
     def __post_init__(self):
-        xs = tuple(float(x) for x in self.xs)
-        object.__setattr__(self, "xs", xs)
-        if any(not math.isfinite(x) for x in xs):
-            raise ValueError("coordinates must be finite")
-        if any(a >= b for a, b in zip(xs, xs[1:])):
-            raise ValueError("coordinates must be strictly increasing")
+        object.__setattr__(self, "xs", increasing_floats(self.xs))
 
     def __len__(self) -> int:
         return len(self.xs)
 
     def as_dict(self) -> dict[int, float]:
         return {i + 1: x for i, x in enumerate(self.xs)}
+
+
+def increasing_floats(xs) -> tuple[float, ...]:
+    """xs as floats, checked finite and strictly increasing."""
+    xs = tuple(map(float, xs))
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("coordinates must be finite")
+    if not all(map(operator.lt, xs, xs[1:])):
+        raise ValueError("coordinates must be strictly increasing")
+    return xs
 
 
 def as_point_dict(x) -> dict[int, float]:

@@ -8,6 +8,15 @@ slot lift is unreachable from the ground-state pairing.
 count, holding Z_total and every reachable numerator, so one pass
 evaluates a configuration; each probability is the plain float division
 of the two sums, with the bits of evaluating each combo on its own.
+A mapping of points goes to the table as it is; a sequence must be
+finite and strictly increasing (`partition_fn.increasing_floats`).
+
+Inputs are validated by builtins over whole tuples (`min`, `max`,
+`sum`, `map`) rather than by generator expressions: marks must lie in
+[0, perimeter) in cyclic order, and a distribution's entries must be
+finite and non-negative.  A NaN anywhere fails each check, because
+finiteness is read from `math.isfinite` or a sum, never from `min` or
+`max` alone, which skip a NaN that is not first.
 
 For a rectangle with alternating-sign boundary arcs the marked points
 are carried to the real line by the elliptic map of the rectangle onto
@@ -28,13 +37,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import coulomb, incidence, partition_fn
 from .combinat import LinkPattern, enumerate_link_patterns, make_pattern, tau
 from .errors import IncompatiblePartitionsError
-from .partition_fn import as_point_dict
+from .partition_fn import PointConfig, as_point_dict, increasing_floats
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +59,17 @@ def _numerators(npoints: int) -> tuple[tuple[LinkPattern, coulomb.MonomialCombo 
     return tuple(
         (p, partition_fn.fused_pure_partition(p) if incidence.arrow_relation(om, tau(p)) else None)
         for p in enumerate_link_patterns((2,) * npoints)
+    )
+
+
+@lru_cache(maxsize=None)
+def _layout(npoints: int) -> tuple[tuple[LinkPattern, ...], tuple[int, ...]]:
+    """The patterns of `_numerators` and, for each, 0 when unreachable or
+    else 1 + its numerator's position after Z_total in `_table`."""
+    table = _numerators(npoints)
+    live = itertools.accumulate(num is not None for _, num in table)
+    return tuple(p for p, _ in table), tuple(
+        0 if num is None else k for (_, num), k in zip(table, live)
     )
 
 
@@ -71,9 +92,10 @@ class OutcomeDistribution:
     def __post_init__(self):
         if len(self.patterns) != len(self.probs):
             raise ValueError("length mismatch")
-        if any(not 0 <= pr < math.inf for pr in self.probs):
-            raise ArithmeticError(f"negative or non-finite probability in {self.probs!r}")
-        s = sum(self.probs)
+        probs = self.probs
+        if not (all(map(math.isfinite, probs)) and min(probs, default=0.0) >= 0):
+            raise ArithmeticError(f"negative or non-finite probability in {probs!r}")
+        s = sum(probs)
         if abs(s - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {s!r}, not 1")
 
@@ -88,16 +110,27 @@ def outcome_distribution(npoints: int, y, dps: int | None = None) -> OutcomeDist
     """Distribution over all valence-2 patterns on `npoints` marked points:
     entry by entry arrow(omega, tau(p)) * Zhat_p(y) / Z_total(y), with the
     total and every reachable numerator read from one compiled table."""
-    den, *nums = _table(npoints).sums(as_point_dict(y), dps)
-    nums = iter(nums)
-    table = _numerators(npoints)
-    probs = tuple(0.0 if num is None else float(next(nums) / den) for _, num in table)
-    return OutcomeDistribution(tuple(p for p, _ in table), probs)
+    return _distribution(npoints, _points(y), dps)
+
+
+def _points(y):
+    """A mapping (label -> coordinate) as it is, or a sequence checked by
+    `increasing_floats`: the table reads either."""
+    if isinstance(y, PointConfig):
+        return y.xs
+    return y if hasattr(y, "keys") else increasing_floats(y)
+
+
+def _distribution(npoints: int, values, dps: int | None) -> OutcomeDistribution:
+    patterns, where = _layout(npoints)
+    den, *nums = _table(npoints).sums(values, dps)
+    ratios = [0.0] + [float(num / den) for num in nums]
+    return OutcomeDistribution(patterns, tuple(map(ratios.__getitem__, where)))
 
 
 def condition(npoints: int, y) -> float:
     """Largest summation condition number over the reachable numerators at y."""
-    return max(_table(npoints).conditions(as_point_dict(y))[1:])
+    return max(_table(npoints).conditions(_points(y))[1:])
 
 
 def cross_ratio(y) -> float:
@@ -134,13 +167,12 @@ class RectanglePolygon:
         m = self.marks
         if len(m) < 2 or len(m) % 2:
             raise ValueError("need an even number of marked points")
-        per = self.perimeter
         if m[1] != 0.0:
             raise ValueError("y_2 must sit at the origin corner (arc length 0)")
-        cyc = m[1:] + (m[0],)
-        if any(not 0 <= s < per for s in m):
+        # min and max skip a NaN that is not first; the sum does not
+        if not (0 <= min(m) and max(m) < self.perimeter) or math.isnan(sum(m)):
             raise ValueError("arc lengths must lie in [0, perimeter)")
-        if any(a >= b for a, b in zip(cyc, cyc[1:])):
+        if not all(map(operator.lt, m[1:], m[2:] + m[:1])):
             raise ValueError("marked points must be in ccw cyclic order")
 
     @property
@@ -184,6 +216,7 @@ def cross_ratio_rectangle(L: float) -> float:
 # a series term at most e^(-_CUT) = 2^-60 times its leading term is dropped
 _CUT = 60.0 * math.log(2.0)
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
+_HALF_PI = 0.5 * math.pi
 
 
 def _split(a: float) -> tuple[float, float]:
@@ -218,13 +251,20 @@ class _BoundaryMap:
     term is one exp of its summed exponent less the leading term's, so no
     term overflows at any L; the leading factor e^y multiplies the
     quotient last and is infinite only where the image leaves float
-    range.  The nome powers are computed once per rectangle.
+    range.  The nome powers and the corners' arc lengths are computed once
+    per rectangle, and the two series an image divides run in one call
+    (th1 and th4, th3 and th4 over one cosine per term, or th2 and th3 at
+    iy), each summed in the same order as on its own.
     """
 
-    __slots__ = ("L", "wide", "c", "odd", "even", "ph", "pl", "ph_split", "top")
+    __slots__ = (
+        "L", "per", "up", "back", "wide", "c", "odd", "even", "ph", "pl", "ph_split", "top",
+    )
 
     def __init__(self, L: float):
         self.L = L
+        # arc lengths of the corners (L, 1) and (0, 1) and of the whole walk
+        self.up, self.back, self.per = L + 1.0, 2.0 * L + 1.0, 2.0 * L + 2.0
         self.wide = wide = L > 2.0
         pa = math.pi * (0.5 * L if wide else 2.0 / L)
         # smallest terms first: (2n, -log q^(n(n+1)), (-1)^n, (-1)^n q^(n(n+1)))
@@ -232,21 +272,22 @@ class _BoundaryMap:
         # 2 (-1)^n q^(n^2)) for 1 <= n <= 5 while q^(n(n-1)), the most a
         # q^(n^2) cosh(2ny) term reaches, counts
         cut = _CUT / pa
+        exp = math.exp
         self.odd = odd = []
         for n in range(min(4, int(math.sqrt(cut))), -1, -1):
             a, sign = pa * n * (n + 1) if n else 0.0, -1.0 if n & 1 else 1.0
-            odd.append((2 * n, a, sign, sign * math.exp(-a)))
+            odd.append((2 * n, a, sign, sign * exp(-a)))
         self.even = even = []
         for n in range(min(5, int(0.5 + math.sqrt(0.25 + cut))), 0, -1):
             b = pa * n * n
-            e = 2.0 * math.exp(-b)
+            e = 2.0 * exp(-b)
             even.append((2 * n, b, e, -e if n & 1 else e))
-        th3 = 1.0 + sum(e for _, _, e, _ in even)
+        th3 = 1.0 + sum([e for _, _, e, _ in even])
         if wide:
-            self.c = th3 / (1.0 + sum(e for _, _, _, e in even))  # th3/th4
+            self.c = th3 / (1.0 + sum([e for _, _, _, e in even]))  # th3/th4
             return
         # th3/th2, with the factor 2 q^(1/4) of th2 taken out
-        self.c = c = th3 / sum(s * o for _, _, s, o in odd)
+        self.c = c = th3 / sum([s * o for _, _, s, o in odd])
         # pi/L = ph + pl to twice float precision: e^(pi v/L) is as
         # accurate as its exponent is absolutely, and pi/L reaches 3e3
         # at L = 1e-3
@@ -258,72 +299,76 @@ class _BoundaryMap:
         # 1/(k sn) = (c/4) e^(pi/L) th4/th1 on the top edge
         self.top = _times_exp(0.25 * c * (1.0 + self.pl), ph)
 
-    def _th1(self, z: float) -> float:
-        """th1(z) / (2 q^(1/4))"""
-        out = 0.0
+    def _th14(self, z: float) -> tuple[float, float]:
+        """th1(z) / (2 q^(1/4)) and th4(z)."""
+        sin, cos, th1, th4 = math.sin, math.cos, 0.0, 1.0
         for n2, _, _, o in self.odd:
-            out += o * math.sin((n2 + 1) * z)
-        return out
-
-    def _th3(self, z: float) -> float:
-        out = 1.0
-        for n2, _, e, _ in self.even:
-            out += e * math.cos(n2 * z)
-        return out
-
-    def _th4(self, z: float) -> float:
-        out = 1.0
+            th1 += o * sin((n2 + 1) * z)
         for n2, _, _, e in self.even:
-            out += e * math.cos(n2 * z)
-        return out
+            th4 += e * cos(n2 * z)
+        return th1, th4
+
+    def _th34(self, z: float) -> tuple[float, float]:
+        """th3(z) and th4(z), one cosine per term."""
+        cos, th3, th4 = math.cos, 1.0, 1.0
+        for n2, _, e3, e4 in self.even:
+            c = cos(n2 * z)
+            th3 += e3 * c
+            th4 += e4 * c
+        return th3, th4
 
     def _sh_ch(self, y: float) -> tuple[float, float]:
         """2 e^(-y) th1(iy) / (2i q^(1/4)) and 2 e^(-y) th2(iy) / (2 q^(1/4)), y >= 0."""
-        sh = ch = 0.0
+        exp, expm1, sh, ch = math.exp, math.expm1, 0.0, 0.0
         for n2, a, sign, _ in self.odd:
-            g, x = math.exp(n2 * y - a), math.expm1(-(2 * n2 + 2) * y)
+            g, x = exp(n2 * y - a), expm1(-(2 * n2 + 2) * y)
             sh -= sign * g * x
             ch += g * (2.0 + x)
         return sh, ch
 
-    def _ch3(self, y: float) -> float:
-        """th3(iy), 0 <= y <= pa/2."""
-        out = 1.0
+    def _ch_ch3(self, y: float) -> tuple[float, float]:
+        """The second value of `_sh_ch`, and th3(iy) for 0 <= y <= pa/2."""
+        exp, expm1, ch, ch3 = math.exp, math.expm1, 0.0, 1.0
+        for n2, a, _, _ in self.odd:
+            ch += exp(n2 * y - a) * (2.0 + expm1(-(2 * n2 + 2) * y))
         for n2, b, _, _ in self.even:
-            out += math.exp(n2 * y - b) * (1.0 + math.exp(-2 * n2 * y))
-        return out
+            ch3 += exp(n2 * y - b) * (1.0 + exp(-2 * n2 * y))
+        return ch, ch3
 
     def _side(self, parts: tuple[float, ...]) -> float:
         """1/dn(K'v, k') for L <= 2 and v = sum(parts) in [0, 1]: c e^y
         th2(iy)/th3(iy) with y = pi v/L, or for v > 1/2, through
         dn(K' - u, k') = k/dn(u, k'), c e^y th3(iy')/th2(iy') with
         y' = pi (1 - v)/L, so that no series term nears its leader."""
-        vh = math.fsum(parts)
-        yh = self.ph * vh
+        fsum, ph = math.fsum, self.ph
+        vh = fsum(parts)
+        yh = ph * vh
         if yh > 710.0:  # e^y alone leaves float range
             return math.inf
         if vh <= 0.5:
-            ratio = 0.5 * self._sh_ch(yh)[1] / self._ch3(yh)
+            ch, ch3 = self._ch_ch3(yh)
+            ratio = 0.5 * ch / ch3
         else:
-            y1 = self.ph * math.fsum((*parts, -1.0))  # -y'
-            ratio = 0.5 * self._ch3(-y1) / self._sh_ch(-y1)[1]
+            ch, ch3 = self._ch_ch3(-ph * fsum((*parts, -1.0)))  # at y'
+            ratio = 0.5 * ch3 / ch
         # e^(pi v/L) = e^yh (1 + yl), yl = pi v/L - yh
         (ah, al), (bh, bl) = self.ph_split, _split(vh)
         yl = ((ah * bh - yh) + ah * bl + al * bh) + al * bl
-        yl += self.ph * math.fsum((*parts, -vh)) + self.pl * vh
+        yl += ph * fsum((*parts, -vh)) + self.pl * vh
         return _times_exp(self.c * ratio * (1.0 + yl), yh)
 
     def __call__(self, s: float) -> float:
         """Image of the boundary point at arc length s; +inf at the top
         edge midpoint, where the map wraps through infinity."""
-        L = self.L
-        s = s % (2.0 * L + 2.0)
-        if L < s <= L + 1.0 or s > 2.0 * L + 1.0:  # sides
-            right = s <= L + 1.0
+        L, up = self.L, self.up
+        s = s % self.per
+        if L < s <= up or s > self.back:  # sides
+            right = s <= up
             parts = (s, -L) if right else (L, L, 2.0, -s)
             if self.wide:
-                z = 0.5 * math.pi * math.fsum(parts)
-                w = self.c * self._th4(z) / self._th3(z)
+                z = _HALF_PI * math.fsum(parts)
+                th3, th4 = self._th34(z)
+                w = self.c * th4 / th3
             else:
                 w = self._side(parts)
             return w if right else -w
@@ -332,15 +377,15 @@ class _BoundaryMap:
         # the midpoint the image is about 1/t
         t = math.fsum((L, 0.5 * L, 1.0, -s)) if top else s - 0.5 * L
         if self.wide:
-            sh, ch = self._sh_ch(0.5 * math.pi * abs(t))
+            sh, ch = self._sh_ch(_HALF_PI * abs(t))
             if top:
                 return math.copysign(self.c * ch / sh, t) if sh else math.inf
             return math.copysign(self.c * sh / ch, t)
         z = math.pi * t / L
+        th1, th4 = self._th14(z)
         if top:
-            th1 = self._th1(z)
-            return self.top * self._th4(z) / th1 if th1 else math.inf
-        return self.c * self._th1(z) / self._th4(z)
+            return self.top * th4 / th1 if th1 else math.inf
+        return self.c * th1 / th4
 
 
 def _mp_boundary_map(L: float):
@@ -400,8 +445,9 @@ def rect_boundary_to_halfplane(R: RectanglePolygon, dps: int | None = None) -> t
 
 def _normalized(R: RectanglePolygon, image) -> tuple:
     finite = lambda w: abs(w) < math.inf  # an mpf beyond float range is finite
-    raw = [image(s) for s in R.marks]
-    if all(map(finite, raw)) and all(a < b for a, b in zip(raw, raw[1:])):
+    raw = list(map(image, R.marks))
+    # strictly increasing (no NaN) with finite ends: finite throughout
+    if -math.inf < raw[0] and raw[-1] < math.inf and all(map(operator.lt, raw, raw[1:])):
         return tuple(raw)
     s_last, s_first = R.marks[-1], R.marks[0]
     gap = s_first - s_last
@@ -412,7 +458,7 @@ def _normalized(R: RectanglePolygon, image) -> tuple:
     else:
         raise ArithmeticError("could not place a Moebius pole in the boundary gap")
     out = tuple(-1.0 / (w - p) if finite(w) else 0.0 for w in raw)
-    if not all(a < b for a, b in zip(out, out[1:])):
+    if not all(map(operator.lt, out, out[1:])):
         raise ArithmeticError("normalized images are not increasing")
     return out
 
@@ -420,8 +466,7 @@ def _normalized(R: RectanglePolygon, image) -> tuple:
 def rectangle_distribution(R: RectanglePolygon, dps: int | None = None) -> OutcomeDistribution:
     """Crossing-pattern distribution of a marked rectangle; with `dps`
     set, the images too are computed at that precision."""
-    ys = rect_boundary_to_halfplane(R, dps)
-    return outcome_distribution(R.npoints, dict(enumerate(ys, 1)), dps=dps)
+    return _distribution(R.npoints, rect_boundary_to_halfplane(R, dps), dps)
 
 
 # ---------------------------------------------------------------------------

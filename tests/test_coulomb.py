@@ -1,11 +1,12 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
 import oracles
-from mgffcross import incidence, partition_fn
+from mgffcross import incidence, partition_fn, probability
 from mgffcross.combinat import enumerate_link_patterns, tau
 from mgffcross.coulomb import (
     SERIES_ORDER_CAP,
@@ -130,6 +131,47 @@ def test_table_of_combos_gives_each_combo_its_own_bits():
     with pytest.raises(ValueError, match="coincident"):
         table.sums({1: 0.3, 2: 1.7, 3: 2.2, 4: 2.2})
     assert Compiled(()).sums(x) == []
+
+
+def test_empty_table_has_no_sums():
+    x = {1: 0.3, 2: 1.7}
+    assert Compiled(()).sums(x) == []
+    assert Compiled(()).conditions(x) == []
+
+
+def test_table_reads_a_sequence_as_labels_from_one():
+    f = _m(F(2, 3), {(1, 2): F(-1, 2), (2, 3): F(1, 2)}) + _m(F(-1, 7), {(1, 3): F(3)})
+    table = Compiled((f,))
+    y = (0.3, 1.7, 2.2)
+    assert table.sums(y) == table.sums(dict(enumerate(y, 1)))
+    assert table.conditions(list(y)) == table.conditions(dict(enumerate(y, 1)))
+    with pytest.raises(ValueError, match="no value for variable 3"):
+        table.sums(y[:2])
+    with pytest.raises(ValueError, match="no value for variable 0"):
+        Compiled((_m(1, {(0, 1): F(1)}),)).sums(y)
+
+
+@pytest.mark.parametrize("spacing", [1e200, 1e-200])
+def test_overflowing_terms_raise_from_sums_and_conditions(spacing):
+    table = probability._table(4)
+    x = (0.0, spacing, 2 * spacing, 3 * spacing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the float pass keeps numpy quiet
+        with pytest.raises(OverflowError, match="a term leaves the float range"):
+            table.sums(x)
+        with pytest.raises(OverflowError, match="a term leaves the float range"):
+            table.conditions(x)
+
+
+def test_mixed_sign_integer_powers_evaluate_without_warning():
+    # negative bases: the half powers of the table are NaN, never gathered
+    x = {1: 2.5, 2: -0.75, 3: 1.25}
+    c = _m(F(3, 2), {(1, 2): F(1), (1, 3): F(-3)}) + _m(1, {(2, 3): F(1, 2)})
+    want = 1.5 * (x[2] - x[1]) * (x[3] - x[1]) ** -3 + math.sqrt(x[3] - x[2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(c, x) == pytest.approx(want, rel=1e-15)
+        assert math.isfinite(condition(c, x))
 
 
 @pytest.mark.parametrize("npoints", [4, 6])

@@ -249,6 +249,23 @@ def test_distribution_rejects_negative_probability():
         OutcomeDistribution(pats, (math.nan,) * 3)
 
 
+@pytest.mark.parametrize(
+    "probs", [(0.5, math.nan, 0.5), (0.5, 0.5, math.inf), (math.nan, 0.5, 0.5), (-math.inf, 1.0, 1.0)]
+)
+def test_distribution_rejects_non_finite_probability_anywhere(probs):
+    # min and max alone skip a NaN that is not first
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        OutcomeDistribution(enumerate_link_patterns((2, 2, 2, 2)), probs)
+
+
+def test_distribution_rejects_non_finite_or_unordered_points():
+    for y in [(0.0, math.nan, 2.0, 3.0), (0.0, 1.0, 2.0, math.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            outcome_distribution(4, y)
+    with pytest.raises(ValueError, match="increasing"):
+        outcome_distribution(4, (0.0, 2.0, 1.0, 3.0))
+
+
 # ---------------------------------------------------------------------------
 # connection probabilities between pairings
 
@@ -363,6 +380,21 @@ def test_rectangle_validation():
         RectanglePolygon(1.0, (3.0, 0.0, 2.0, 1.0))  # out of cyclic order
     with pytest.raises(ValueError):
         RectanglePolygon(1.0, (3.0, 0.0, 1.0))  # odd count
+
+
+@pytest.mark.parametrize("at", [0, 2, 3])
+def test_rectangle_rejects_a_nan_mark(at):
+    marks = [3.0, 0.0, 1.0, 2.0]
+    marks[at] = math.nan
+    with pytest.raises(ValueError, match="arc lengths"):
+        RectanglePolygon(1.0, tuple(marks))
+
+
+def test_rectangle_rejects_a_mark_at_the_perimeter():
+    with pytest.raises(ValueError, match="arc lengths"):
+        RectanglePolygon(1.0, (4.0, 0.0, 1.0, 2.0))
+    with pytest.raises(ValueError, match="arc lengths"):
+        RectanglePolygon(1.0, (3.0, 0.0, 1.0, -0.5))
 
 
 def test_halfplane_images_of_corners():
