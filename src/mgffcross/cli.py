@@ -25,11 +25,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import (
-    CapacityError,
-    IncompatiblePartitionsError,
-    TruncationLimitError,
-)
+from .errors import CapacityError, TruncationLimitError
 
 
 def _mesh_value(s: str) -> int:
@@ -355,7 +351,7 @@ def main(argv=None) -> int:
     except CapacityError as e:
         print(f"capacity: {e}", file=sys.stderr)
         return 3
-    except (ArithmeticError, TruncationLimitError, IncompatiblePartitionsError) as e:
+    except (ArithmeticError, TruncationLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as e:

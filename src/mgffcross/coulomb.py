@@ -387,7 +387,11 @@ class Compiled:
         import mpmath
 
         with mpmath.workdps(dps):
-            keep = lambda v: v if isinstance(v, mpmath.mpf) else mpmath.mpf(v)
+            # mpf, int and float values enter exactly; others (numpy
+            # integers, fractions) as their float, since mpf refuses them
+            keep = lambda v: v if isinstance(v, mpmath.mpf) else mpmath.mpf(
+                v if isinstance(v, (int, float)) else float(v)
+            )
             d = self.differences(values, keep)
             W, pw, sums = len(self.powers), {}, []
             rows = (row for block in self.slots for row in block.T.tolist())

@@ -12,8 +12,3 @@ class DivergenceError(ArithmeticError):
 
 class TruncationLimitError(Exception):
     """A series expansion would need more orders than the hard cap allows."""
-
-
-class IncompatiblePartitionsError(ValueError):
-    """Cluster partitions are not jointly planar; no boundary link pattern
-    corresponds to them."""

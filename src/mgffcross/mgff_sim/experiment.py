@@ -5,8 +5,8 @@ Gaussian free field), opens every same-sign edge independently with the
 one-excursion bridge probability 1 - exp(-2ab), and reads off which
 same-sign boundary arcs ended up wired together.  The pair of arc
 partitions is mapped to its boundary link pattern through the planar
-cluster dictionary; incompatible pairs (which have probability zero in
-the continuum) are counted in a separate anomaly bucket.
+cluster dictionary; a pair that no reachable pattern has (probability
+zero in the continuum) is counted in a separate anomaly bucket.
 
 Trials run in chunks on a thread pool, one worker per cpu unless
 `threads` says otherwise.  A chunk holds at most `SimConfig.chunk`
@@ -88,6 +88,8 @@ class SimConfig:
             raise ValueError(f"chunk must be at least 1, got {self.chunk}")
         if self.threads < 0:
             raise ValueError(f"threads must be 0 (one per cpu) or more, got {self.threads}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         resolve_kernel(self.kernel)
 
 
@@ -354,5 +356,7 @@ def run_experiment(R: RectanglePolygon, cfg: SimConfig) -> ExperimentReport:
 
 
 def sweep_mu(R: RectanglePolygon, cfg: SimConfig, mus) -> list[ExperimentReport]:
-    """One report per mu value, sharing trial streams (common random numbers)."""
-    return [run_experiment(R, replace(cfg, mu=float(m))) for m in mus]
+    """One report per mu value, sharing trial streams (common random numbers);
+    every mu is checked before the first run."""
+    cfgs = [replace(cfg, mu=float(m)) for m in mus]
+    return [run_experiment(R, c) for c in cfgs]

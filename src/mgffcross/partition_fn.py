@@ -61,39 +61,26 @@ CONSTANTS = Constants()
 # Point configurations
 
 
-@dataclass(frozen=True)
-class PointConfig:
-    """Strictly increasing finite tuple of real boundary coordinates."""
-
-    xs: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "xs", increasing_floats(self.xs))
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-    def as_dict(self) -> dict[int, float]:
-        return {i + 1: x for i, x in enumerate(self.xs)}
-
-
-def increasing_floats(xs) -> tuple[float, ...]:
-    """xs as floats, checked finite and strictly increasing."""
-    xs = tuple(map(float, xs))
-    if not all(map(math.isfinite, xs)):
-        raise ValueError("coordinates must be finite")
-    if not all(map(operator.lt, xs, xs[1:])):
-        raise ValueError("coordinates must be strictly increasing")
+def point_values(npoints: int, y) -> tuple:
+    """y_1..y_npoints as given, from a sequence or from a mapping whose
+    labels are exactly 1..npoints.  ValueError unless there are npoints
+    values, finite and strictly increasing.  The values are compared as
+    they are and never rounded, so mpf points keep their precision."""
+    if hasattr(y, "keys"):
+        if y.keys() != set(range(1, npoints + 1)):
+            raise ValueError(f"point labels must be exactly 1..{npoints}, got {list(y)}")
+        y = [y[k] for k in range(1, npoints + 1)]
+    xs = y if type(y) is tuple else tuple(y)
+    if len(xs) != npoints:
+        raise ValueError(f"need {npoints} coordinates, got {len(xs)}")
+    # strictly increasing (no NaN) with finite ends: finite throughout
+    if npoints and not (
+        -math.inf < xs[0] and xs[-1] < math.inf and all(map(operator.lt, xs, xs[1:]))
+    ):
+        if not all(-math.inf < x < math.inf for x in xs):
+            raise ValueError("coordinates must be finite")
+        raise ValueError("coordinates must be strictly increasing: each must increase with its label")
     return xs
-
-
-def as_point_dict(x) -> dict[int, float]:
-    """Accept a PointConfig, a mapping, or a plain increasing sequence."""
-    if isinstance(x, PointConfig):
-        return x.as_dict()
-    if hasattr(x, "keys"):
-        return {int(k): v for k, v in x.items()}
-    return PointConfig(tuple(x)).as_dict()
 
 
 def _theta(ups: frozenset[int], i: int, j: int) -> int:

@@ -8,8 +8,9 @@ slot lift is unreachable from the ground-state pairing.
 count, holding Z_total and every reachable numerator, so one pass
 evaluates a configuration; each probability is the plain float division
 of the two sums, with the bits of evaluating each combo on its own.
-A mapping of points goes to the table as it is; a sequence must be
-finite and strictly increasing (`partition_fn.increasing_floats`).
+Points come as a sequence or as a mapping labelled 1..npoints, and
+`partition_fn.point_values` checks both the same way before the table
+reads them, unrounded, so mpf points keep their precision under `dps`.
 
 Inputs are validated by builtins over whole tuples (`min`, `max`,
 `sum`, `map`) rather than by generator expressions: marks must lie in
@@ -27,10 +28,12 @@ Jacobi's imaginary transformation keeps every nome at most e^(-pi), so
 five terms reach full float precision at any ratio; with `dps` set the
 same quotients run through `mpmath.jtheta`.  Nothing here imports scipy.
 
-The cluster dictionary at the end converts a pair of arc partitions
-(which positive arcs are wired together, which negative arcs) into the
-boundary link pattern they imprint, raising IncompatiblePartitionsError
-when the two partitions cannot coexist planarly.
+The cluster dictionary at the end maps a pair of arc partitions
+(which positive arcs are wired together, which negative arcs) to the
+boundary link pattern they imprint.  It is read off the slot lift of
+each reachable pattern: the arcs on one face of the lift's chord
+diagram are wired together.  A pair that no reachable pattern has is
+absent; the simulator counts it as an anomaly.
 """
 
 from __future__ import annotations
@@ -42,9 +45,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import coulomb, incidence, partition_fn
-from .combinat import LinkPattern, enumerate_link_patterns, make_pattern, tau
-from .errors import IncompatiblePartitionsError
-from .partition_fn import PointConfig, as_point_dict, increasing_floats
+from .combinat import LinkPattern, enumerate_link_patterns, tau
+from .partition_fn import point_values
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +54,24 @@ from .partition_fn import PointConfig, as_point_dict, increasing_floats
 
 
 @lru_cache(maxsize=None)
-def _numerators(npoints: int) -> tuple[tuple[LinkPattern, coulomb.MonomialCombo | None], ...]:
-    """Every valence-2 pattern on `npoints` points with its fused partition
-    function, or None when the lift is unreachable (probability zero)."""
+def _reachable(npoints: int) -> tuple[tuple[LinkPattern, bool], ...]:
+    """Every valence-2 pattern on `npoints` points, in enumeration order,
+    with whether its slot lift is reachable from the ground-state
+    pairing: arrow(omega, tau(p)).  An unreachable pattern has
+    probability zero."""
     om = partition_fn.omega_pairing(npoints)
     return tuple(
-        (p, partition_fn.fused_pure_partition(p) if incidence.arrow_relation(om, tau(p)) else None)
-        for p in enumerate_link_patterns((2,) * npoints)
+        (p, incidence.arrow_relation(om, tau(p))) for p in enumerate_link_patterns((2,) * npoints)
+    )
+
+
+@lru_cache(maxsize=None)
+def _numerators(npoints: int) -> tuple[tuple[LinkPattern, coulomb.MonomialCombo | None], ...]:
+    """Every pattern of `_reachable` with its fused partition function, or
+    None when the lift is unreachable."""
+    return tuple(
+        (p, partition_fn.fused_pure_partition(p) if live else None)
+        for p, live in _reachable(npoints)
     )
 
 
@@ -110,15 +123,7 @@ def outcome_distribution(npoints: int, y, dps: int | None = None) -> OutcomeDist
     """Distribution over all valence-2 patterns on `npoints` marked points:
     entry by entry arrow(omega, tau(p)) * Zhat_p(y) / Z_total(y), with the
     total and every reachable numerator read from one compiled table."""
-    return _distribution(npoints, _points(y), dps)
-
-
-def _points(y):
-    """A mapping (label -> coordinate) as it is, or a sequence checked by
-    `increasing_floats`: the table reads either."""
-    if isinstance(y, PointConfig):
-        return y.xs
-    return y if hasattr(y, "keys") else increasing_floats(y)
+    return _distribution(npoints, point_values(npoints, y), dps)
 
 
 def _distribution(npoints: int, values, dps: int | None) -> OutcomeDistribution:
@@ -130,15 +135,12 @@ def _distribution(npoints: int, values, dps: int | None) -> OutcomeDistribution:
 
 def condition(npoints: int, y) -> float:
     """Largest summation condition number over the reachable numerators at y."""
-    return max(_table(npoints).conditions(_points(y))[1:])
+    return max(_table(npoints).conditions(point_values(npoints, y))[1:])
 
 
 def cross_ratio(y) -> float:
     """(y2-y1)(y4-y3) / ((y3-y1)(y4-y2)) for four increasing reals."""
-    ys = sorted(as_point_dict(y).items())
-    if len(ys) != 4:
-        raise ValueError("cross ratio needs exactly four points")
-    (_, y1), (_, y2), (_, y3), (_, y4) = ys
+    y1, y2, y3, y4 = point_values(4, y)
     return (y2 - y1) * (y4 - y3) / ((y3 - y1) * (y4 - y2))
 
 
@@ -477,103 +479,34 @@ def canonical_partition(blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-@dataclass(frozen=True)
-class ClusterPartitions:
-    """Which positive arcs are wired together, and which negative arcs.
-
-    Arcs are 1..n on each side; `pos` and `neg` are set partitions in
-    canonical form (blocks sorted).  Positive arc j spans marked points
-    (2j-1, 2j); negative arc j spans (2j, 2j+1 mod 2n).
-    """
-
-    n: int
-    pos: tuple[tuple[int, ...], ...]
-    neg: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for side in (self.pos, self.neg):
-            seen = [x for b in side for x in b]
-            if sorted(seen) != list(range(1, self.n + 1)):
-                raise ValueError("blocks must partition 1..n")
-            if canonical_partition(side) != side:
-                raise ValueError("blocks must be in canonical form")
-
-
-def _cyclic_cross(xpos: tuple[int, ...], ypos: tuple[int, ...]) -> bool:
-    """Do two disjoint position sets interleave on the cycle?
-
-    Walking the cycle and recording which set each met position belongs
-    to, the sets cross exactly when the cyclic block count is >= 4.
-    """
-    labels = [(p, 0) for p in xpos] + [(p, 1) for p in ypos]
-    labels.sort()
-    seq = [l for _, l in labels]
-    changes = sum(a != b for a, b in zip(seq, seq[1:] + seq[:1]))
-    return changes >= 4
-
-
-def pattern_from_cluster_partitions(cp: ClusterPartitions) -> LinkPattern:
-    """Boundary link pattern imprinted by the wired arcs.
-
-    Each cluster touching arcs a_1 < ... < a_m contributes the chords
-    {end(a_i), start(a_{i+1 mod m})}; a singleton contributes its own
-    arc's endpoints as a doubled-point chord.  The two partitions must
-    be jointly planar: positive arcs sit at odd cyclic slots, negative
-    at even slots, and no two blocks may interleave.
-    """
-    n = cp.n
-    allblocks = [(b, 0) for b in cp.pos] + [(b, 1) for b in cp.neg]
-    positions = [
-        tuple(2 * a - 1 + sign for a in b) for b, sign in allblocks
-    ]
-    for (p1, _), (p2, _) in itertools.combinations(zip(positions, allblocks), 2):
-        if _cyclic_cross(p1, p2):
-            raise IncompatiblePartitionsError(
-                "arc partitions interleave and cannot coexist planarly"
-            )
-    links: list[tuple[int, int]] = []
-    n2 = 2 * n
-    for b in cp.pos:
-        arcs = sorted(b)
-        for a, anext in zip(arcs, arcs[1:] + arcs[:1]):
-            end_a = 2 * a
-            start_next = 2 * anext - 1
-            links.append((end_a, start_next))
-    for b in cp.neg:
-        arcs = sorted(b)
-        for a, anext in zip(arcs, arcs[1:] + arcs[:1]):
-            end_a = (2 * a + 1 - 1) % n2 + 1
-            start_next = 2 * anext
-            links.append((end_a, start_next))
-    try:
-        return make_pattern(links)
-    except ValueError as exc:
-        raise IncompatiblePartitionsError(str(exc)) from exc
-
-
-def _set_partitions(n: int):
-    """All set partitions of {1..n} in canonical form."""
-    if n == 0:
-        yield ()
-        return
-    for smaller in _set_partitions(n - 1):
-        for i in range(len(smaller)):
-            yield canonical_partition(
-                smaller[:i] + (smaller[i] + (n,),) + smaller[i + 1 :]
-            )
-        yield canonical_partition(smaller + ((n,),))
-
-
 @lru_cache(maxsize=None)
 def cluster_pattern_table(n: int) -> dict:
-    """Map (pos blocks, neg blocks) -> LinkPattern over all compatible pairs."""
+    """Map (pos blocks, neg blocks) -> LinkPattern over the reachable
+    patterns on 2n points, blocks in `canonical_partition` form.
+
+    Positive arc j runs from y_(2j-1) to y_2j, negative arc j from y_2j
+    to y_(2j+1 mod 2n).  In the slot lift point k owns slots 2k-1 and 2k,
+    and the boundary gap after slot 2k is arc k from y_k to y_(k+1):
+    positive arc (k+1)/2 for odd k, negative arc k/2 for even k.  The
+    faces of the lift are the orbits of g -> partner(g mod 4n + 1), and
+    the arcs on one face are wired together.
+    """
     table = {}
-    parts = list(_set_partitions(n))
-    for pos in parts:
-        for neg in parts:
-            try:
-                pat = pattern_from_cluster_partitions(ClusterPartitions(n, pos, neg))
-            except IncompatiblePartitionsError:
-                continue
-            table[(pos, neg)] = pat
+    for p, live in _reachable(2 * n):
+        if not live:
+            continue
+        partner = {}
+        for a, b in tau(p).links:
+            partner[a], partner[b] = b, a
+        blocks, seen = ([], []), set()
+        for start in range(2, 4 * n + 1, 2):
+            face, g = [], start
+            while g not in seen:
+                seen.add(g)
+                if g % 2 == 0:
+                    face.append(g // 2)
+                g = partner[g % (4 * n) + 1]
+            if face:  # arcs of one sign: positive for odd k
+                blocks[face[0] % 2 == 0].append([(k + 1) // 2 for k in face])
+        table[canonical_partition(blocks[0]), canonical_partition(blocks[1])] = p
     return table

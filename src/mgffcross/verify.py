@@ -26,7 +26,7 @@ from .combinat import (
     enumerate_pairings,
 )
 from .coulomb import MonomialCombo
-from .partition_fn import CONSTANTS, as_point_dict
+from .partition_fn import CONSTANTS, point_values
 
 
 def _residual(f: MonomialCombo, x, j: int, order: int, op) -> float:
@@ -38,11 +38,10 @@ def _residual(f: MonomialCombo, x, j: int, order: int, op) -> float:
     ddg = d_j^2 g_j = sum 2 e s_j/d^3, and the pairs (i, x_i - x_j) over
     the labels i != j, so every derivative is closed form.
     """
-    xd = as_point_dict(x)
-    labels = sorted(xd)
-    gap = min(xd[b] - xd[a] for a, b in zip(labels, labels[1:]))
-    if not gap > 0:
-        raise ValueError("points must increase with their labels")
+    xs = point_values(len(x), x)
+    xd = dict(enumerate(xs, 1))
+    labels = list(xd)
+    gap = min(b - a for a, b in zip(xs, xs[1:]))
     others = [(i, xd[i] - xd[j]) for i in labels if i != j]
     values, parts = [], []
     for key, c in f.terms.items():
@@ -126,8 +125,8 @@ def mobius_covariance_check(
     det = a * d - b * c
     if det <= 0:
         raise ValueError("need positive determinant")
-    xd = as_point_dict(x)
-    xs = sorted(xd.values())
+    xs = point_values(len(x), x)
+    xd = dict(enumerate(xs, 1))
     if c != 0:
         pole = -d / c
         if xs[0] <= pole <= xs[-1]:
@@ -166,9 +165,7 @@ def asymptotics_check(
     n2 = 2 * a.n
     if x is None:
         x = tuple(float(t) for t in range(1, n2))  # collapsed configuration
-    xd = {i + 1: v for i, v in enumerate(x)} if not hasattr(x, "keys") else dict(x)
-    if len(xd) != n2 - 1:
-        raise ValueError("need a configuration for the collapsed points")
+    xd = dict(enumerate(point_values(n2 - 1, x), 1))
     linked = (j, j + 1) in a.links
     r = Fraction(-1, 2) if linked else Fraction(1, 2)
     fused = partition_fn.fuse_once(a, j)
@@ -210,9 +207,9 @@ def upper_bound_combo(a: PairPartition) -> MonomialCombo:
 def bounds_check(a: PairPartition, x, slack: float = 1e-12) -> dict:
     """0 < Z_a(x) <= prod_links (x_b - x_a)^(-1/2), with tiny slack for
     the configurations where the bound is attained."""
-    xd = as_point_dict(x)
-    z = coulomb.evaluate(partition_fn.pure_partition(a), xd)
-    ub = coulomb.evaluate(upper_bound_combo(a), xd)
+    xs = point_values(len(x), x)
+    z = coulomb.evaluate(partition_fn.pure_partition(a), xs)
+    ub = coulomb.evaluate(upper_bound_combo(a), xs)
     ok = (z > 0.0) and (z <= ub * (1.0 + slack))
     return {"pairing": a.links, "z": z, "bound": ub, "ok": bool(ok)}
 

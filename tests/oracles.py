@@ -7,7 +7,10 @@ instead of the grouped closed form, dense sparse-matrix solves
 instead of the DST solver, one sparse percolation graph per trial
 instead of the labelled site image of a chunk, a fresh generator per
 trial instead of one re-keyed per chunk, and an exact-skeleton Brownian
-bridge estimator instead of the closed-form crossing probability.
+bridge estimator instead of the closed-form crossing probability, and
+the cluster dictionary built forward from every pair of set partitions,
+with its own interleaving rule, instead of read off the faces of the
+reachable patterns' slot lifts.
 Two lattice helpers only tests need live here too: the vertex id of a
 grid point and the discrete Laplacian residual of a field; so do the
 complete elliptic integrals K, K' of a rectangle, which the theta-quotient
@@ -30,8 +33,8 @@ import sympy as sp
 from scipy.sparse.csgraph import connected_components
 
 from mgffcross import coulomb, incidence, partition_fn
-from mgffcross.combinat import PairPartition, make_pairing, tau
-from mgffcross.probability import _theta_constants
+from mgffcross.combinat import LinkPattern, PairPartition, make_pairing, make_pattern, tau
+from mgffcross.probability import _theta_constants, canonical_partition
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +136,64 @@ def sequential_fused_pure_partition(p):
 
 
 # ---------------------------------------------------------------------------
+# Cluster dictionary by pairs of set partitions
+
+
+def set_partitions(n: int):
+    """All set partitions of {1..n} in canonical form."""
+    if n == 0:
+        yield ()
+        return
+    for smaller in set_partitions(n - 1):
+        for i in range(len(smaller)):
+            yield canonical_partition(smaller[:i] + (smaller[i] + (n,),) + smaller[i + 1 :])
+        yield canonical_partition(smaller + ((n,),))
+
+
+def _cyclic_cross(xpos: tuple[int, ...], ypos: tuple[int, ...]) -> bool:
+    """Do two disjoint position sets interleave on the cycle?  Walking the
+    cycle, they cross exactly when the membership changes four or more times."""
+    seq = [s for _, s in sorted([(p, 0) for p in xpos] + [(p, 1) for p in ypos])]
+    return sum(a != b for a, b in zip(seq, seq[1:] + seq[:1])) >= 4
+
+
+def pattern_from_cluster_partitions(n: int, pos, neg) -> LinkPattern | None:
+    """Boundary link pattern imprinted by wired arcs, or None when the two
+    partitions cannot coexist planarly.
+
+    Positive arc a spans points (2a-1, 2a), negative arc a spans
+    (2a, 2a+1 mod 2n); on the cycle of arcs positive arc a sits at
+    position 2a-1 and negative arc a at 2a, and no two blocks may
+    interleave.  Each cluster touching arcs a_1 < ... < a_m contributes
+    the chords {end(a_i), start(a_(i+1 mod m))}; a singleton contributes
+    one chord joining its own arc's endpoints."""
+    blocks = [(b, 0) for b in pos] + [(b, 1) for b in neg]
+    positions = [tuple(2 * a - 1 + sign for a in b) for b, sign in blocks]
+    if any(_cyclic_cross(p, q) for p, q in itertools.combinations(positions, 2)):
+        return None
+    links = []
+    for b, sign in blocks:
+        for a, anext in zip(b, b[1:] + b[:1]):
+            links.append(((2 * a + sign - 1) % (2 * n) + 1, 2 * anext - 1 + sign))
+    try:
+        return make_pattern(links)
+    except ValueError:
+        return None
+
+
+def brute_cluster_pattern_table(n: int) -> dict:
+    """(pos blocks, neg blocks) -> LinkPattern over every jointly planar pair."""
+    parts = list(set_partitions(n))
+    table = {}
+    for pos in parts:
+        for neg in parts:
+            pat = pattern_from_cluster_partitions(n, pos, neg)
+            if pat is not None:
+                table[pos, neg] = pat
+    return table
+
+
+# ---------------------------------------------------------------------------
 # Symbolic series via sympy
 
 
@@ -215,7 +276,7 @@ def connection_probability(a: PairPartition, b: PairPartition, x) -> float:
     up-position of a to a down-position."""
     if not incidence.arrow_relation(a, b):
         return 0.0
-    xs = partition_fn.as_point_dict(x)
+    xs = partition_fn.point_values(len(x), x)
     num = coulomb.evaluate(partition_fn.pure_partition(b), xs)
     return num / coulomb.evaluate(partition_fn.conformal_block(a), xs)
 
@@ -225,8 +286,8 @@ def mp_pde_residual(f, x, j: int, order: int, dps: int = 30) -> float:
     h) or `pde3_residual` (order 3, weight H) with every derivative taken
     by `mpmath.diff`.  diff raises the working precision for its step, so
     each evaluation runs at the precision current at the call."""
-    xd = partition_fn.as_point_dict(x)
-    labels = sorted(xd)
+    xd = dict(enumerate(partition_fn.point_values(len(x), x), 1))
+    labels = list(xd)
     c = partition_fn.CONSTANTS
     with mpmath.workdps(dps):
         x0 = [mpmath.mpf(xd[k]) for k in labels]

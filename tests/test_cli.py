@@ -304,7 +304,10 @@ def test_simulate_usage_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("trials", "0"), ("trials", "-5"), ("chunk", "0"), ("chunk", "-3"), ("threads", "-1")],
+    [
+        ("trials", "0"), ("trials", "-5"), ("chunk", "0"), ("chunk", "-3"), ("threads", "-1"),
+        ("mu", "nan"), ("mu", "inf"),
+    ],
 )
 def test_simulate_rejects_bad_run_sizes(tmp_path, capsys, key, value):
     cfg = tmp_path / "settings.cfg"

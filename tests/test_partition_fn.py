@@ -26,14 +26,14 @@ def test_constants():
 
 
 def test_point_config():
-    cfg = P.PointConfig((0.0, 1.5, 2.0))
-    assert cfg.as_dict() == {1: 0.0, 2: 1.5, 3: 2.0}
-    assert P.as_point_dict([1, 2]) == {1: 1.0, 2: 2.0}
-    assert P.as_point_dict({3: 0.5}) == {3: 0.5}
-    with pytest.raises(ValueError):
-        P.PointConfig((1.0, 1.0))
-    with pytest.raises(ValueError):
-        P.PointConfig((0.0, math.inf))
+    xs = (0.0, 1.5, 2.0)
+    assert P.point_values(3, xs) is xs  # the warm tuple path copies nothing
+    assert P.point_values(3, [0.0, 1.5, 2.0]) == xs
+    assert P.point_values(3, {3: 2.0, 1: 0.0, 2: 1.5}) == xs
+    assert P.point_values(6, range(6)) == (0, 1, 2, 3, 4, 5)
+    for bad in [(1.0, 1.0), (0.0, math.inf), (0.0,), (0.0, 1.0, 2.0), {1: 0.0, 3: 1.0}]:
+        with pytest.raises(ValueError):
+            P.point_values(2, bad)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))

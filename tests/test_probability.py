@@ -4,13 +4,12 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from mgffcross import coulomb, incidence, partition_fn, probability
 from mgffcross.combinat import enumerate_link_patterns, enumerate_pairings, tau
-from mgffcross.errors import IncompatiblePartitionsError
 from mgffcross.probability import (
-    ClusterPartitions,
     OutcomeDistribution,
     RectanglePolygon,
     canonical_partition,
@@ -18,12 +17,16 @@ from mgffcross.probability import (
     cross_ratio,
     cross_ratio_rectangle,
     outcome_distribution,
-    pattern_from_cluster_partitions,
     rect_boundary_to_halfplane,
     rectangle_distribution,
 )
 
-from oracles import connection_probability, theta_moduli, theta_modulus_from_ratio
+from oracles import (
+    brute_cluster_pattern_table,
+    connection_probability,
+    theta_moduli,
+    theta_modulus_from_ratio,
+)
 
 
 def random_points(n, rng, lo=0.25, hi=1.75):
@@ -224,11 +227,12 @@ def test_table_keeps_numerators_bare_and_errors_unchanged():
     outcome_distribution(6, y)
     probability.condition(6, y)
     assert all(num._compiled is None for num in nums)
-    with pytest.raises(ValueError, match="coincident points for pair"):
+    # the point check refuses a mapping before the table reads it
+    with pytest.raises(ValueError, match="strictly increasing"):
         outcome_distribution(4, {1: 0.0, 2: 1.0, 3: 1.0, 4: 3.0})
-    with pytest.raises(ValueError, match="coincident points for pair"):
+    with pytest.raises(ValueError, match="strictly increasing"):
         probability.condition(6, {1: 0.0, 2: 1.0, 3: 2.0, 4: 3.0, 5: 4.0, 6: 4.0})
-    with pytest.raises(ArithmeticError, match="negative"):
+    with pytest.raises(ValueError, match="strictly increasing"):
         outcome_distribution(4, {1: 0.0, 2: 2.0, 3: 1.0, 4: 3.0})
 
 
@@ -264,6 +268,33 @@ def test_distribution_rejects_non_finite_or_unordered_points():
             outcome_distribution(4, y)
     with pytest.raises(ValueError, match="increasing"):
         outcome_distribution(4, (0.0, 2.0, 1.0, 3.0))
+
+
+@pytest.mark.parametrize(
+    "y,match",
+    [
+        ({1: 0, 2: 2, 3: 1, 4: 3}, "increasing"),
+        ({1: 0.0, 2: math.nan, 3: 2.0, 4: 3.0}, "finite"),
+        ([0, 1, 2, 3, 100, 200], "need 4"),
+        ({1: 0, 2: 1, 3: 2, 4: 3, 7: 9}, "labels"),
+    ],
+)
+@pytest.mark.parametrize("call", [outcome_distribution, probability.condition, cross_ratio])
+def test_entry_points_check_points_alike(call, y, match):
+    # a mapping is checked like a sequence, and extra points are refused
+    with pytest.raises(ValueError, match=match):
+        call(y) if call is cross_ratio else call(4, y)
+
+
+def test_mp_points_keep_their_precision():
+    with mpmath.workdps(50):
+        y = [mpmath.mpf(0), mpmath.mpf(1), 1 + mpmath.mpf("1e-20"), mpmath.mpf(3)]
+    seq = outcome_distribution(4, y, dps=50).probs
+    assert seq == outcome_distribution(4, dict(enumerate(y, 1)), dps=50).probs
+    assert seq[0] == pytest.approx(1.637e-51, rel=1e-3)
+    assert seq[1] == pytest.approx(6e-20, rel=1e-6)
+    # numpy integers, which mpf refuses, enter the mp sums as floats
+    assert outcome_distribution(4, np.arange(4), dps=30).probs == outcome_distribution(4, range(4)).probs
 
 
 # ---------------------------------------------------------------------------
@@ -530,36 +561,25 @@ def test_canonical_partition():
     assert canonical_partition([]) == ()
 
 
-def test_cluster_partitions_validation():
-    with pytest.raises(ValueError):
-        ClusterPartitions(2, ((2, 1),), ((1,), (2,)))  # not canonical
-    with pytest.raises(ValueError):
-        ClusterPartitions(2, ((1,),), ((1,), (2,)))  # misses arc 2
-
-
 def test_pattern_from_clusters_all_singletons_is_ring():
     singles = ((1,), (2,))
-    pat = pattern_from_cluster_partitions(ClusterPartitions(2, singles, singles))
+    pat = cluster_pattern_table(2)[singles, singles]
     assert sorted(pat.links) == [(1, 2), (1, 4), (2, 3), (3, 4)]
 
 
 def test_pattern_from_clusters_wired_positive():
-    pat = pattern_from_cluster_partitions(
-        ClusterPartitions(2, ((1, 2),), ((1,), (2,)))
-    )
+    pat = cluster_pattern_table(2)[((1, 2),), ((1,), (2,))]
     assert sorted(pat.links) == [(1, 4), (1, 4), (2, 3), (2, 3)]
 
 
 def test_pattern_from_clusters_wired_negative():
-    pat = pattern_from_cluster_partitions(
-        ClusterPartitions(2, ((1,), (2,)), ((1, 2),))
-    )
+    pat = cluster_pattern_table(2)[((1,), (2,)), ((1, 2),)]
     assert sorted(pat.links) == [(1, 2), (1, 2), (3, 4), (3, 4)]
 
 
 def test_pattern_from_clusters_rejects_interleaving():
-    with pytest.raises(IncompatiblePartitionsError):
-        pattern_from_cluster_partitions(ClusterPartitions(2, ((1, 2),), ((1, 2),)))
+    # both sides wired: the positive and the negative cluster would cross
+    assert (((1, 2),), ((1, 2),)) not in cluster_pattern_table(2)
 
 
 @pytest.mark.parametrize("n,size", [(1, 1), (2, 3), (3, 12)])
@@ -581,8 +601,14 @@ def test_cluster_table_bijects_onto_reachable_patterns(n):
     assert set(values) == reachable
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_cluster_table_entries_are_consistent(n):
-    for (pos, neg), pat in cluster_pattern_table(n).items():
-        redo = pattern_from_cluster_partitions(ClusterPartitions(n, pos, neg))
-        assert redo == pat
+    assert cluster_pattern_table(n) == brute_cluster_pattern_table(n)
+
+
+def test_cluster_table_starts_no_fusion_build():
+    misses = partition_fn.fused_pure_partition.cache_info().misses
+    cluster_pattern_table.cache_clear()
+    probability._reachable.cache_clear()
+    cluster_pattern_table(4)
+    assert partition_fn.fused_pure_partition.cache_info().misses == misses

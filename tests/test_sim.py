@@ -26,6 +26,7 @@ from mgffcross.mgff_sim.lattice import (
     interior_noise_to_field,
     _dst2,
 )
+from mgffcross.mgff_sim import experiment
 from mgffcross.mgff_sim.kernels import pair_bit, percolate_batch, resolve_kernel
 from mgffcross.mgff_sim.experiment import (
     CHUNK_BYTES,
@@ -410,6 +411,17 @@ def base_config(**kw):
     d = dict(trials=400, seed=7, meshes=(4, 8), kernel="auto", threads=1, chunk=128)
     d.update(kw)
     return SimConfig(**d)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_non_finite_mu_is_refused_before_any_run(monkeypatch, mu):
+    with pytest.raises(ValueError, match="mu must be finite"):
+        base_config(mu=mu)
+    runs = []
+    monkeypatch.setattr(experiment, "run_experiment", lambda R, cfg: runs.append(cfg))
+    with pytest.raises(ValueError, match="mu must be finite"):
+        sweep_mu(RectanglePolygon.corners(1.0), base_config(), [1.0, mu])
+    assert runs == []
 
 
 def test_trial_streams_are_reproducible():
