@@ -11,6 +11,9 @@ of the two sums, with the bits of evaluating each combo on its own.
 Points come as a sequence or as a mapping labelled 1..npoints, and
 `partition_fn.point_values` checks both the same way before the table
 reads them, unrounded, so mpf points keep their precision under `dps`.
+Points whose float terms leave the float range are scaled once by an
+even power of two, which leaves every probability and condition number
+as it is (`_scale_free`).
 
 Inputs are validated by builtins over whole tuples (`min`, `max`,
 `sum`, `map`) rather than by generator expressions: marks must lie in
@@ -26,7 +29,11 @@ Its boundary values sn and 1/dn, and the corner cross-ratio
 q(L) = lambda(iL), are theta-series quotients (DLMF 20.2, 22.2, 23.15).
 Jacobi's imaginary transformation keeps every nome at most e^(-pi), so
 five terms reach full float precision at any ratio; with `dps` set the
-same quotients run through `mpmath.jtheta`.  Nothing here imports scipy.
+same quotients run through `mpmath.jtheta`.  A mark at a corner skips
+the series: sn(-+K) = -+1 and sn(+-K + iK') = +-1/k, with 1/k a quotient
+of the theta constants the map already holds, so the four corners of
+`RectanglePolygon.corners` cost no series call and y_2, at the origin,
+is exactly -1.  Nothing here imports scipy.
 
 The cluster dictionary at the end maps a pair of arc partitions
 (which positive arcs are wired together, which negative arcs) to the
@@ -128,20 +135,49 @@ def outcome_distribution(npoints: int, y, dps: int | None = None) -> OutcomeDist
 
 def _distribution(npoints: int, values, dps: int | None) -> OutcomeDistribution:
     patterns, where = _layout(npoints)
-    den, *nums = _table(npoints).sums(values, dps)
+    den, *nums = _scale_free(_table(npoints).sums, values, dps)
     ratios = [0.0] + [float(num / den) for num in nums]
     return OutcomeDistribution(patterns, tuple(map(ratios.__getitem__, where)))
 
 
 def condition(npoints: int, y) -> float:
     """Largest summation condition number over the reachable numerators at y."""
-    return max(_table(npoints).conditions(point_values(npoints, y))[1:])
+    return max(_scale_free(_table(npoints).conditions, point_values(npoints, y))[1:])
+
+
+def _centred(xs: tuple) -> tuple:
+    """Increasing points times 2^e, e even and chosen so that the smallest
+    and the largest pair difference lie about equally far from 1."""
+    gap = min(map(operator.sub, xs[1:], xs))
+    e = -2 * ((math.frexp(gap)[1] + math.frexp(xs[-1] - xs[0])[1]) // 4)
+    return tuple(math.ldexp(x, e) for x in xs)
+
+
+def _scale_free(read, xs: tuple, *args):
+    """read(xs, *args), or where a term leaves the float range
+    read(_centred(xs), *args) once.  The total and every numerator are
+    homogeneous of one degree, so an even power of two scales all their
+    terms exactly and alike: the probabilities and condition numbers are
+    those of xs.  Points that succeed keep their bits; the first
+    OverflowError stands when the scaled points overflow too."""
+    try:
+        return read(xs, *args)
+    except OverflowError as exc:
+        try:
+            return read(_centred(xs), *args)
+        except OverflowError:
+            raise exc from None
 
 
 def cross_ratio(y) -> float:
-    """(y2-y1)(y4-y3) / ((y3-y1)(y4-y2)) for four increasing reals."""
-    y1, y2, y3, y4 = point_values(4, y)
-    return (y2 - y1) * (y4 - y3) / ((y3 - y1) * (y4 - y2))
+    """(y2-y1)(y4-y3) / ((y3-y1)(y4-y2)) for four increasing reals, of the
+    `_centred` points where a product leaves the float range."""
+    y1, y2, y3, y4 = ys = point_values(4, y)
+    num, den = (y2 - y1) * (y4 - y3), (y3 - y1) * (y4 - y2)
+    if not (0.0 < num and den < math.inf):
+        y1, y2, y3, y4 = _centred(ys)
+        num, den = (y2 - y1) * (y4 - y3), (y3 - y1) * (y4 - y2)
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +293,17 @@ class _BoundaryMap:
     per rectangle, and the two series an image divides run in one call
     (th1 and th4, th3 and th4 over one cosine per term, or th2 and th3 at
     iy), each summed in the same order as on its own.
+
+    A mark at a corner's arc length, 0, L, L + 1 or 2L + 1 as
+    `RectanglePolygon.corners` writes them, maps to its exact image -1,
+    1, 1/k or -1/k without a series.  1/k = th3^2/th2^2 at the nome
+    e^(-2 pi/L) is c * top for L <= 2, and th3^2/th4^2 at the nome
+    e^(-pi L/2), c^2, for L > 2, there rounded once from 1/k - 1.
     """
 
     __slots__ = (
         "L", "per", "up", "back", "wide", "c", "odd", "even", "ph", "pl", "ph_split", "top",
+        "corners",
     )
 
     def __init__(self, L: float):
@@ -286,7 +329,13 @@ class _BoundaryMap:
             even.append((2 * n, b, e, -e if n & 1 else e))
         th3 = 1.0 + sum([e for _, _, e, _ in even])
         if wide:
-            self.c = th3 / (1.0 + sum([e for _, _, _, e in even]))  # th3/th4
+            th4 = 1.0 + sum([e for _, _, _, e in even])
+            self.c = th3 / th4
+            # 1/k = c^2 = 1 + (th3 - th4)(th3 + th4)/th4^2 rounded once, with
+            # th3 - th4 = 4(q + q^9 + ...) free of cancellation: the corner
+            # gap 1/k - 1 ~ 8q is all that sets q(L) at large L
+            d = sum([e - e4 for _, _, e, e4 in even])
+            self._corners(1.0 + d * (th3 + th4) / (th4 * th4))
             return
         # th3/th2, with the factor 2 q^(1/4) of th2 taken out
         self.c = c = th3 / sum([s * o for _, _, s, o in odd])
@@ -300,6 +349,11 @@ class _BoundaryMap:
         self.pl = (((math.pi - ph * L) - err) + _PI_LO) / L
         # 1/(k sn) = (c/4) e^(pi/L) th4/th1 on the top edge
         self.top = _times_exp(0.25 * c * (1.0 + self.pl), ph)
+        self._corners(c * self.top)
+
+    def _corners(self, inv_k: float) -> None:
+        """Each corner's arc length -> its exact image."""
+        self.corners = {0.0: -1.0, self.L: 1.0, self.up: inv_k, self.back: -inv_k}
 
     def _th14(self, z: float) -> tuple[float, float]:
         """th1(z) / (2 q^(1/4)) and th4(z)."""
@@ -362,8 +416,11 @@ class _BoundaryMap:
     def __call__(self, s: float) -> float:
         """Image of the boundary point at arc length s; +inf at the top
         edge midpoint, where the map wraps through infinity."""
-        L, up = self.L, self.up
         s = s % self.per
+        w = self.corners.get(s)
+        if w is not None:
+            return w
+        L, up = self.L, self.up
         if L < s <= up or s > self.back:  # sides
             right = s <= up
             parts = (s, -L) if right else (L, L, 2.0, -s)
@@ -392,17 +449,23 @@ class _BoundaryMap:
 
 def _mp_boundary_map(L: float):
     """`_BoundaryMap` in mpmath at the working precision: the same
-    quotients through `mpmath.jtheta` at the same nome."""
+    quotients through `mpmath.jtheta` at the same nome, and the same
+    exact corner images."""
     import mpmath
     from mpmath import jtheta, mpf, pi
 
+    ends = (0.0, L, L + 1.0, 2.0 * L + 1.0)  # as `RectanglePolygon.corners` writes them
     L = mpf(L)
     wide = L > 2
     q = mpmath.exp(-pi * (L / 2 if wide else 2 / L))
     c = jtheta(3, 0, q) / jtheta(4 if wide else 2, 0, q)  # c^2 = 1/k
+    corners = dict(zip(ends, (mpf(-1), mpf(1), c * c, -c * c)))  # an mpf hashes as its float
 
     def image(s):
         s = mpf(s) % (2 * L + 2)
+        w = corners.get(s)
+        if w is not None:
+            return w
         if L < s <= L + 1 or s > 2 * L + 1:  # sides
             right = s <= L + 1
             v = s - L if right else 2 * L + 2 - s

@@ -163,9 +163,23 @@ def test_prob_collapsed_rectangle_images_fail(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("spacing", ["1e200", "1e-200"])
+def test_prob_scales_overflowing_points(capsys, spacing):
+    # the raw difference powers overflow; a power of two brings them back
+    pts = [str(k * float(spacing)) for k in range(4)]
+    code, out, err = run_cli(capsys, "prob", "--points", *pts, "--json")
+    assert code == 0 and err == ""
+    code, ref, _ = run_cli(capsys, "prob", "--points", "0", "1", "2", "3", "--json")
+    got, want = json.loads(out), json.loads(ref)
+    assert got["q"] == pytest.approx(want["q"], rel=1e-15)
+    assert [o["prob"] for o in got["outcomes"]] == pytest.approx(
+        [o["prob"] for o in want["outcomes"]], rel=1e-15
+    )
+
+
 def test_prob_overflowing_points_fail(capsys):
-    # the cross ratio of 0 1 2 3, but the raw difference powers overflow
-    code, out, err = run_cli(capsys, "prob", "--points", "0", "1e200", "2e200", "3e200")
+    # gaps of 1e-200 and 1e200: no one scale brings every power into range
+    code, out, err = run_cli(capsys, "prob", "--points", "0", "1e-200", "1e200", "2e200")
     assert code == 1
     assert out == ""
     assert err.startswith("error:")

@@ -236,6 +236,25 @@ def test_table_keeps_numerators_bare_and_errors_unchanged():
         outcome_distribution(4, {1: 0.0, 2: 2.0, 3: 1.0, 4: 3.0})
 
 
+@pytest.mark.parametrize("spacing", [1e200, 1e-200])
+def test_overflowing_points_are_scaled_by_a_power_of_two(spacing):
+    y = (0.0, spacing, 2 * spacing, 3 * spacing)
+    want = outcome_distribution(4, (0.0, 1.0, 2.0, 3.0)).probs
+    assert outcome_distribution(4, y).probs == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert probability.condition(4, y) == pytest.approx(
+        probability.condition(4, (0.0, 1.0, 2.0, 3.0)), rel=1e-15
+    )
+    assert cross_ratio(y) == pytest.approx(0.25, rel=1e-15)
+
+
+def test_points_that_overflow_when_scaled_still_raise():
+    y = (0.0, 1e-200, 1e200, 2e200)
+    with pytest.raises(OverflowError, match="a term leaves the float range"):
+        outcome_distribution(4, y)
+    with pytest.raises(OverflowError, match="a term leaves the float range"):
+        probability.condition(4, y)
+
+
 def test_distribution_as_json():
     y = (0.0, 1.0, 2.0, 3.0)
     dist = outcome_distribution(4, y)
@@ -478,12 +497,53 @@ def _marked(L):
     return [RectanglePolygon.corners(L), RectanglePolygon(L, six)]
 
 
-@pytest.mark.parametrize("L", [25.0 ** (j / 6) for j in range(-6, 7)])
+@pytest.mark.parametrize(
+    "L",
+    [25.0 ** (j / 6) for j in range(-6, 7)]
+    + [math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0), 1.999, 2.001],
+)
 def test_halfplane_images_against_ellipfun(L):
     for R in _marked(L):
         image = probability._BoundaryMap(L)
         for s, want in zip(R.marks, _ellipfun_images(R)):
             assert image(s) == pytest.approx(float(want), rel=1e-14, abs=1e-17)
+
+
+@pytest.mark.parametrize("L", [25.0 ** (j / 6) for j in range(-6, 7)])
+def test_corners_map_to_exact_images(L):
+    # -1 and 1 exactly; +-1/k from one quotient, checked against ellipfun above
+    image = probability._BoundaryMap(L)
+    assert (image(0.0), image(L)) == (-1.0, 1.0)
+    assert image(2.0 * L + 1.0) == -image(L + 1.0)
+    with mpmath.workdps(30):
+        image = probability._mp_boundary_map(L)
+        assert (image(0.0), image(L)) == (mpmath.mpf(-1), mpmath.mpf(1))
+        assert image(2.0 * L + 1.0) == -image(L + 1.0)
+
+
+@pytest.mark.parametrize("L", [6.0, 8.0, 10.0, 12.0, 15.0, 20.0, 25.0])
+def test_long_rectangle_top_corner_is_the_nearest_float_to_one_over_k(L):
+    # 1/k - 1 ~ 8 e^(-pi L/2) is the whole corner gap, and q(L) moves
+    # with every ulp of 1/k
+    with mpmath.workdps(50):
+        inv_k = float(1 / mpmath.kfrom(q=mpmath.exp(-2 * mpmath.pi / L)))
+    assert probability._BoundaryMap(L)(L + 1.0) == inv_k
+
+
+@pytest.mark.parametrize("L", [0.6, 1.0, 2.0, 6.0])
+def test_six_mark_rectangle_keeps_y2_at_minus_one(L):
+    y = rect_boundary_to_halfplane(_marked(L)[1])  # raw images, no Moebius move
+    assert y[1] == -1.0
+
+
+def test_rectangle_distribution_reads_its_own_images():
+    # the benchmark's traced replay evaluates these images itself and
+    # requires the program's bits
+    rng = random.Random(16)
+    for _ in range(200):
+        R = RectanglePolygon.corners(math.exp(rng.uniform(math.log(0.6), math.log(6.0))))
+        want = outcome_distribution(4, rect_boundary_to_halfplane(R)).probs
+        assert rectangle_distribution(R).probs == want
 
 
 @pytest.mark.parametrize("L", [10.0 ** (j / 4) for j in range(-12, 13)])
