@@ -7,9 +7,10 @@ Layers, bottom up:
                 and their slot lifts, the one place planarity is decided.
 `incidence`     the arrow incidence matrix over pairings and its inverse.
 `coulomb`       rational combinations of difference-product monomials and
-                their one-point collapse (series extraction at x_v -> x_u).
-`partition_fn`  pure partition functions Z_a, their fused descendants, the
-                total mass they must add up to, and the point check.
+                their compiled float and mpmath evaluation.
+`partition_fn`  pure partition functions Z_a, their one-pair collapses and
+                fused descendants in closed form over the inverse-incidence
+                row, the total mass they must add up to, and the point check.
 `probability`   outcome distributions, rectangle geometry via theta-series
                 moduli, and the cluster-pattern dictionary read off the
                 slot lifts of the reachable patterns.
@@ -33,11 +34,7 @@ from .combinat import (
     make_pattern,
     tau,
 )
-from .errors import (
-    CapacityError,
-    DivergenceError,
-    TruncationLimitError,
-)
+from .errors import CapacityError
 from .incidence import incidence_matrix, inverse_incidence
 from .partition_fn import CONSTANTS, fused_pure_partition, pure_partition, z_mgff_total
 from .probability import (

@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import CapacityError, TruncationLimitError
+from .errors import CapacityError
 
 
 def _mesh_value(s: str) -> int:
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     except CapacityError as e:
         print(f"capacity: {e}", file=sys.stderr)
         return 3
-    except (ArithmeticError, TruncationLimitError) as e:
+    except ArithmeticError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as e:

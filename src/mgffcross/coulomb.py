@@ -9,24 +9,19 @@ so the arithmetic is exact end to end.  Variables are integer labels;
 a pair key (a, b) always has a < b and the base is x_b - x_a, which is
 positive on ordered configurations x_a < x_b.
 
-Every operation that builds a combo from terms (`+`, `*`, `rename`,
-`series_coefficient`, and the callers' sums through `combo_sum`) goes
-through one accumulator, `collect`: equal keys add up and zero sums
-drop out.
-
-The main nontrivial operation is `fuse_pair`: substitute
-x_v = x_u + eps and extract the coefficient of eps^r as eps -> 0+,
-verifying that every lower order cancels exactly.  Since only the
-(u, v) factor is singular at eps = 0, each monomial contributes a
-generalized binomial expansion of its regular factors, and everything
-stays inside the same monomial class.
+Every operation that builds a combo from terms (`+`, `*`, `rename`, and
+the callers' sums through `combo_sum`) goes through one accumulator,
+`collect`: equal keys add up and zero sums drop out.  Collapsing points
+is not done here: `partition_fn` writes each fusion limit it needs in
+closed form from the inverse-incidence row.
 
 Evaluation goes through `Compiled`, a table of one or more combos over
 the union of their pairs: one difference per pair, one `pow` per (pair,
-power), a gather, one product per row in pair order and one `math.fsum`
-per combo.  `evaluate` and `condition` use the one-combo table cached on
-a combo; a caller that needs several combos at the same point builds
-one table over all of them and gets each combo's bits unchanged.
+power) factor that some term gathers, a gather, one product per row in
+pair order and one `math.fsum` per combo.  `evaluate` and `condition`
+use the one-combo table cached on a combo; a caller that needs several
+combos at the same point builds one table over all of them and gets each
+combo's bits unchanged.
 """
 
 from __future__ import annotations
@@ -37,11 +32,6 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
-
-from .errors import DivergenceError, TruncationLimitError
-
-# Hard cap on how deep a series is developed past its leading order.
-SERIES_ORDER_CAP = 16
 
 # Terms of a compiled table gathered at once: bounds the temporary.
 GATHER_ROWS = 4096
@@ -56,14 +46,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, Rational):
         return Fraction(x)
     raise TypeError(f"expected a rational number, got {type(x).__name__}")
-
-
-def half_binomial(e2: int, k: int) -> Fraction:
-    """Generalized binomial coefficient C(e2/2, k) for integer e2."""
-    num = Fraction(1)
-    for t in range(k):
-        num *= Fraction(e2 - 2 * t, 2)
-    return num / math.factorial(k)
 
 
 def _canon_exponents(exps) -> ExpKey:
@@ -247,22 +229,23 @@ def combo_sum(combos) -> MonomialCombo:
 class Compiled:
     """Combos as one table over the union of their pairs.  Term t is
     coef[t] * prod_j d_j^(e2[t, j]/2) and combo i owns the terms spans[i].
-    Each evaluation fills a (pairs x powers) table with one `pow` apiece;
-    slots holds, pair-major in blocks of GATHER_ROWS terms, where each
-    factor sits in it.  A pair a combo lacks has e2 = 0 and gathers d^0 =
+    The factors some term gathers are d_base[f]^(e2[f]/2), each computed
+    by one `pow` per evaluation, all in one array call; slots holds,
+    pair-major in blocks of GATHER_ROWS terms, which factor each term
+    takes in each pair.  A pair a combo lacks has e2 = 0 and gathers d^0 =
     1.0, an exact factor, so a combo's sums keep their bits in any table
     that holds it; one combo is the one-span case.
 
     The float pass converts each variable's value once.  It enters
     `np.errstate` only when some difference lies outside `safe`, the
     range in which no power, partial product or coefficient multiple of
-    the table can overflow or underflow; outside it lie negative bases,
-    whose half powers are NaN (never gathered), and differences whose
-    powers may leave float range.  Finiteness is checked on each combo's
-    `fsum`, which is non-finite exactly when one of its terms is."""
+    the table can overflow or underflow; outside it lie negative bases
+    (only ever raised to integer powers) and differences whose powers may
+    leave float range.  Finiteness is checked on each combo's `fsum`,
+    which is non-finite exactly when one of its terms is."""
 
     __slots__ = (
-        "pairs", "labels", "index", "low", "powers", "odd", "slots", "coef", "exact",
+        "pairs", "labels", "index", "base", "e2", "odd", "slots", "coef", "exact",
         "spans", "safe",
     )
 
@@ -286,20 +269,23 @@ class Compiled:
                 e for key in chunk for _, e in key
             ]
             blocks.append(e2)
-        self.low = min((int(b.min(initial=0)) for b in blocks), default=0)
-        high = max((int(b.max(initial=0)) for b in blocks), default=0)
-        self.powers = np.arange(self.low, high + 1) / 2
+        low = min((int(b.min(initial=0)) for b in blocks), default=0)
+        width = max((int(b.max(initial=0)) for b in blocks), default=0) - low + 1
         # the largest sum of |e2| over a term's pairs
         degree = max((int(np.abs(b).sum(axis=0).max(initial=0)) for b in blocks), default=0)
-        # half-integer powers: a pair with any odd exponent
-        odd = np.zeros(len(self.pairs), dtype=np.int64)
-        for e2 in blocks:
-            odd |= np.bitwise_or.reduce(e2, axis=1)
-        self.odd = tuple(np.flatnonzero(odd & 1).tolist())
-        shift = len(self.powers) * np.arange(len(self.pairs))[:, None] - self.low
+        # code each (pair, e2) factor as pair * width + e2 - low, mark the
+        # codes that occur, and point the slots at the used ones in order
+        shift = width * np.arange(len(self.pairs))[:, None] - low
+        seen = np.zeros(len(self.pairs) * width, dtype=bool)
         for e2 in blocks:
             e2 += shift
-        self.slots = tuple(blocks)
+            seen[e2] = True
+        used = np.flatnonzero(seen)
+        self.base = used // width
+        self.e2 = used % width + low
+        # half-integer powers: a pair with any odd exponent
+        self.odd = tuple(sorted(set(self.base[self.e2 % 2 == 1].tolist())))
+        self.slots = tuple(np.searchsorted(used, e2) for e2 in blocks)
         self.exact = tuple(c for t in terms for c in t.values())
         self.coef = np.fromiter(map(float, self.exact), float, len(self.exact))
         # with every difference in [2^-r, 2^r], a table entry or partial
@@ -337,13 +323,12 @@ class Compiled:
         lo, hi = self.safe
         if d and lo <= min(d) and max(d) <= hi:
             return self._products(np.array(d))
-        # NaN half powers of negative bases are never gathered, and a term
-        # that overflows fails the finiteness check of the sums
+        # a term that overflows fails the finiteness check of the sums
         with np.errstate(all="ignore"):
             return self._products(np.array(d))
 
     def _products(self, d: np.ndarray) -> np.ndarray:
-        pw = np.power(d[:, None], self.powers).ravel()
+        pw = np.power(d[self.base], self.e2 / 2)
         # each term multiplies its factors in pair order, so equal combos
         # give equal bits; a block at a time keeps the temporary small
         if len(self.slots) == 1:
@@ -393,20 +378,20 @@ class Compiled:
                 v if isinstance(v, (int, float)) else float(v)
             )
             d = self.differences(values, keep)
-            W, pw, sums = len(self.powers), {}, []
+            # every factor some term gathers, once; d^0 is skipped, not multiplied
+            pw = [
+                d[j] ** (e2 // 2) * (mpmath.sqrt(d[j]) if e2 % 2 else 1) if e2 else None
+                for j, e2 in zip(self.base.tolist(), self.e2.tolist())
+            ]
+            sums = []
             rows = (row for block in self.slots for row in block.T.tolist())
             for a, b in self.spans:
                 terms = []
                 for c, row in zip(self.exact[a:b], itertools.islice(rows, b - a)):
                     t = mpmath.mpf(c.numerator) / c.denominator
-                    for s in row:
-                        e2 = s % W + self.low
-                        if not e2:
-                            continue
-                        if s not in pw:
-                            q, half = divmod(e2, 2)
-                            pw[s] = d[s // W] ** q * (mpmath.sqrt(d[s // W]) if half else 1)
-                        t *= pw[s]
+                    for f in row:
+                        if pw[f] is not None:
+                            t *= pw[f]
                     terms.append(t)
                 sums.append(mpmath.fsum(terms))
             return sums
@@ -432,117 +417,3 @@ def condition(c: MonomialCombo, values) -> float:
     float: the factor by which the sum can amplify the terms' rounding."""
     (cond,) = _compiled(c).conditions(values)
     return cond
-
-
-# ---------------------------------------------------------------------------
-# Fusion: x_v -> x_u + eps
-
-
-def _check_adjacent(c: MonomialCombo, u: int, v: int) -> None:
-    if not u < v:
-        raise ValueError("need u < v")
-    between = [w for w in c.variables() if u < w < v]
-    if between:
-        raise ValueError(f"variables {between} lie strictly between fused pair ({u},{v})")
-
-
-def _term_series(key: ExpKey, coeff: Fraction, u: int, v: int, r2: int):
-    """Contribution of one monomial to the eps^(r2/2) coefficient after
-    substituting x_v = x_u + eps.  Yields (exp_key, coeff) pieces."""
-    e2uv = 0
-    others: list[tuple[int, int]] = []  # (i, e2 of pair with v)
-    base: list[tuple[Pair, int]] = []
-    for (a, b), e2 in key:
-        if (a, b) == (u, v):
-            e2uv = e2
-        elif b == v:
-            others.append((a, e2))
-            base.append(((min(a, u), max(a, u)), e2))
-        elif a == v:
-            others.append((b, e2))
-            base.append(((min(b, u), max(b, u)), e2))
-        else:
-            base.append(((a, b), e2))
-    k2 = r2 - e2uv
-    if k2 < 0 or k2 % 2:
-        return
-    k = k2 // 2
-    if k > SERIES_ORDER_CAP:
-        raise TruncationLimitError(f"series depth {k} exceeds cap {SERIES_ORDER_CAP}")
-    if k == 0:
-        yield _canon_exponents(base), coeff
-        return
-
-    # distribute k among the regular factors (x_i - x_v)^(e2/2):
-    #   i < u: (x_u - x_i) + eps, expansion sign +1
-    #   i > v: (x_i - x_u) - eps, expansion sign -1
-    def distribute(idx: int, left: int, extra: list, factor: Fraction):
-        if idx == len(others):
-            if left == 0:
-                yield _canon_exponents(base + extra), coeff * factor
-            return
-        i, e2 = others[idx]
-        pair = (min(i, u), max(i, u))
-        for ki in range(left + 1):
-            f = half_binomial(e2, ki)
-            if f == 0:
-                continue
-            if ki % 2 and i > v:
-                f = -f
-            piece = extra + [(pair, -2 * ki)] if ki else extra
-            yield from distribute(idx + 1, left - ki, piece, factor * f)
-
-    yield from distribute(0, k, [], Fraction(1))
-
-
-def series_coefficient(c: MonomialCombo, u: int, v: int, order) -> MonomialCombo:
-    """Coefficient of eps^order in c after x_v = x_u + eps, exact.
-
-    The result keeps label u for the fusion point and drops v.  Requires
-    no other variable of c between u and v, so that all non-fused factors
-    stay bounded away from zero as eps -> 0+.
-    """
-    _check_adjacent(c, u, v)
-    order = _as_fraction(order)
-    r2 = order * 2
-    if r2.denominator != 1:
-        raise ValueError("order must be a half-integer")
-    r2 = int(r2)
-    return collect(
-        piece for key, coeff in c.terms.items() for piece in _term_series(key, coeff, u, v, r2)
-    )
-
-
-def fuse_pair(c: MonomialCombo, u: int, v: int, target: int, r) -> MonomialCombo:
-    """Normalized fusion limit lim eps^-r [c at x_v = x_u + eps].
-
-    Every series order below r must cancel exactly across the combo,
-    otherwise DivergenceError reports the first surviving order.  The
-    fused point is relabeled u -> target.
-    """
-    _check_adjacent(c, u, v)
-    r = _as_fraction(r)
-    r2 = r * 2
-    if r2.denominator != 1:
-        raise ValueError("fusion order must be a half-integer")
-    r2 = int(r2)
-    if c.is_zero():
-        return MonomialCombo()
-    min_e2 = min(
-        (dict(key).get((u, v), 0) for key in c.terms),
-        default=0,
-    )
-    if r2 - min_e2 > 2 * SERIES_ORDER_CAP:
-        raise TruncationLimitError(
-            f"{(r2 - min_e2) / 2} orders from leading exceeds cap {SERIES_ORDER_CAP}"
-        )
-    for o2 in range(min_e2, r2):
-        low = series_coefficient(c, u, v, Fraction(o2, 2))
-        if not low.is_zero():
-            raise DivergenceError(
-                f"order {Fraction(o2, 2)} below requested {r} has nonzero coefficient"
-            )
-    res = series_coefficient(c, u, v, r)
-    if target != u:
-        res = res.rename({u: target})
-    return res

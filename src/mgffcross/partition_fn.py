@@ -12,15 +12,15 @@ Minv[alpha, beta] U_beta with the inverse incidence matrix, summed in
 one pass by `coulomb.combo_sum`; they are positive on ordered
 configurations and satisfy the null-field second order PDEs.
 
-Fusing the points pairwise, x_{2j} -> x_{2j-1}, at normalized order
-+1/2 per pair produces the partition functions of valence-2 insertions:
-Zhat of a link pattern is the full pairwise fusion of Z over the slot
-lift of the pattern, computed in closed form by grouping the fusion
-series of the inverse-incidence row of that lift (whose entries are an
-integer back-substitution, see `incidence`).  A row entry's peaks and
-valleys at odd positions are read off the same `ups`, and its grouped
-pieces are summed once.  The total partition function normalizes
-crossing probabilities.
+Every fusion limit is written in closed form over the inverse-incidence
+row (whose entries are an integer back-substitution, see `incidence`),
+with each row entry's peaks, valleys and slopes read off the same `ups`.
+`fuse_once` collapses one adjacent pair x_{j+1} -> x_j of Z_a.  Fusing
+the points pairwise, x_{2j} -> x_{2j-1}, at normalized order +1/2 per
+pair produces the partition functions of valence-2 insertions: Zhat of a
+link pattern is the full pairwise fusion of Z over the slot lift of the
+pattern, grouped over the row of that lift and summed once.  The total
+partition function normalizes crossing probabilities.
 
 All variable labels are 1-based; fused functions live on labels 1..2N.
 """
@@ -113,15 +113,54 @@ def fuse_once(a: PairPartition, j: int) -> MonomialCombo:
     pure partition function with that link removed).  Otherwise the
     limit sits at order +1/2 and is a partition function with one
     valence-2 insertion.  Result keeps labels 1..2N-1, gap closed.
+
+    Closed form over the inverse-incidence row of a, with s_i = +1 for an
+    up-step i of beta and -1 otherwise, so that theta(i, k) = s_i s_k.
+    At x_{j+1} = x_j + eps, U_beta's factor on (j, j+1) is eps^(-1/2) at a
+    peak or valley of beta at j and eps^(+1/2) on a slope.  Linked j: each
+    peak or valley gives its coefficient times U_beta without j and j+1,
+    the limit of its other factors.  Unlinked j: a slope gives U_beta with
+    j+1 merged into j, exponent theta(i, j) on each pair (i, j); a peak's
+    entry is minus that of the valley with the same other steps (the flip
+    identity of the inverse), so their eps^(-1/2) parts cancel and their
+    eps^(+1/2) parts are equal: the valley's, doubled, is -c U_beta without
+    j and j+1 times sum_i s_i / (x_i - x_j), and the peak adds nothing.
     """
     n2 = 2 * a.n
     if not 1 <= j <= n2 - 1:
         raise ValueError(f"position {j} out of range")
-    linked = (j, j + 1) in a.links
-    r = Fraction(-1, 2) if linked else Fraction(1, 2)
-    c = coulomb.fuse_pair(pure_partition(a), j, j + 1, j, r)
+    c = coulomb.combo_sum(_collapse_pieces(a, j, n2))
     shift = {k: k - 1 for k in range(j + 2, n2 + 1)}
     return c.rename(shift) if shift else c
+
+
+def _collapse_pieces(a: PairPartition, j: int, n2: int):
+    """One piece of `fuse_once` per contributing beta of the row."""
+    linked = (j, j + 1) in a.links
+    rest = tuple(i for i in range(1, n2 + 1) if i not in (j, j + 1))
+    for beta, coeff in inverse_row(a):
+        ups = beta.ups
+        slope = (j in ups) == (j + 1 in ups)
+        peak = j in ups and j + 1 not in ups
+        # a linked j takes peaks and valleys, an unlinked j slopes and valleys
+        if slope if linked else peak:
+            continue
+        # U_beta without the points j and j+1
+        exps = [((i, k), _theta(ups, i, k)) for i, k in itertools.combinations(rest, 2)]
+        if linked:
+            yield MonomialCombo.from_doubled(coeff, exps)
+        elif slope:
+            merged = [((min(i, j), max(i, j)), 2 * _theta(ups, i, j)) for i in rest]
+            yield MonomialCombo.from_doubled(coeff, exps + merged)
+        else:  # a valley, where s_i = theta(i, j+1)
+            # s_i / (x_i - x_j) is s_i (x_i - x_j)^-1 above j, -s_i (x_j - x_i)^-1 below
+            pole = coulomb.combo_sum(
+                MonomialCombo.from_doubled(
+                    _theta(ups, i, j + 1) * (1 if i > j else -1), [((min(i, j), max(i, j)), -2)]
+                )
+                for i in rest
+            )
+            yield MonomialCombo.from_doubled(-coeff, exps) * pole
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately avoids the production code paths: brute
-force enumeration instead of recursive constructions, sympy symbolic
-series instead of the hand-rolled expansion, repeated pairwise fusion
-instead of the grouped closed form, dense sparse-matrix solves
-instead of the DST solver, one sparse percolation graph per trial
-instead of the labelled site image of a chunk, a fresh generator per
-trial instead of one re-keyed per chunk, and an exact-skeleton Brownian
-bridge estimator instead of the closed-form crossing probability, and
-the cluster dictionary built forward from every pair of set partitions,
-with its own interleaving rule, instead of read off the faces of the
-reachable patterns' slot lifts.
+force enumeration instead of recursive constructions, a generic series
+extractor (`fuse_pair`, itself checked against sympy symbolic series)
+instead of the closed-form collapses read off the inverse-incidence row,
+repeated pairwise fusion instead of the grouped closed form, dense
+sparse-matrix solves instead of the DST solver, one sparse percolation
+graph per trial instead of the labelled site image of a chunk, a fresh
+generator per trial instead of one re-keyed per chunk, and an
+exact-skeleton Brownian bridge estimator instead of the closed-form
+crossing probability, and the cluster dictionary built forward from
+every pair of set partitions, with its own interleaving rule, instead of
+read off the faces of the reachable patterns' slot lifts.
 Two lattice helpers only tests need live here too: the vertex id of a
 grid point and the discrete Laplacian residual of a field; so do the
 complete elliptic integrals K, K' of a rectangle, which the theta-quotient
@@ -126,12 +127,12 @@ def sequential_fused_pure_partition(p):
     """Zhat of a valence-2 link pattern by repeated pairwise fusion.
 
     Starts from Z of the slot lift tau(p) on 4N points and fuses each slot
-    pair (2j-1, 2j) at order +1/2 with `coulomb.fuse_pair`, which checks
-    exactly that every lower order cancels; it shares only these
-    primitives with the grouped closed form in `partition_fn`."""
+    pair (2j-1, 2j) at order +1/2 with `fuse_pair`, which checks exactly
+    that every lower order cancels; it shares only these primitives with
+    the grouped closed form in `partition_fn`."""
     c = partition_fn.pure_partition(tau(p))
     for j in range(1, p.npoints + 1):
-        c = coulomb.fuse_pair(c, 2 * j - 1, 2 * j, 2 * j - 1, Fraction(1, 2))
+        c = fuse_pair(c, 2 * j - 1, 2 * j, 2 * j - 1, Fraction(1, 2))
     return c.rename({2 * j - 1: j for j in range(1, p.npoints + 1)})
 
 
@@ -191,6 +192,141 @@ def brute_cluster_pattern_table(n: int) -> dict:
             if pat is not None:
                 table[pos, neg] = pat
     return table
+
+
+# ---------------------------------------------------------------------------
+# Fusion by series extraction
+
+
+# Hard cap on how deep a series is developed past its leading order.
+SERIES_ORDER_CAP = 16
+
+
+class DivergenceError(ArithmeticError):
+    """A normalized fusion limit does not exist: some series order below the
+    requested one has a nonzero total coefficient."""
+
+
+class TruncationLimitError(Exception):
+    """A series expansion would need more orders than the hard cap allows."""
+
+
+def half_binomial(e2: int, k: int) -> Fraction:
+    """Generalized binomial coefficient C(e2/2, k) for integer e2."""
+    num = Fraction(1)
+    for t in range(k):
+        num *= Fraction(e2 - 2 * t, 2)
+    return num / math.factorial(k)
+
+
+def _check_adjacent(c: coulomb.MonomialCombo, u: int, v: int) -> None:
+    if not u < v:
+        raise ValueError("need u < v")
+    between = [w for w in c.variables() if u < w < v]
+    if between:
+        raise ValueError(f"variables {between} lie strictly between fused pair ({u},{v})")
+
+
+def _term_series(key, coeff: Fraction, u: int, v: int, r2: int):
+    """Contribution of one monomial to the eps^(r2/2) coefficient after
+    substituting x_v = x_u + eps.  Yields (exp_key, coeff) pieces."""
+    e2uv = 0
+    others: list[tuple[int, int]] = []  # (i, e2 of pair with v)
+    base = []
+    for (a, b), e2 in key:
+        if (a, b) == (u, v):
+            e2uv = e2
+        elif b == v:
+            others.append((a, e2))
+            base.append(((min(a, u), max(a, u)), e2))
+        elif a == v:
+            others.append((b, e2))
+            base.append(((min(b, u), max(b, u)), e2))
+        else:
+            base.append(((a, b), e2))
+    k2 = r2 - e2uv
+    if k2 < 0 or k2 % 2:
+        return
+    k = k2 // 2
+    if k > SERIES_ORDER_CAP:
+        raise TruncationLimitError(f"series depth {k} exceeds cap {SERIES_ORDER_CAP}")
+    if k == 0:
+        yield coulomb._canon_exponents(base), coeff
+        return
+
+    # distribute k among the regular factors (x_i - x_v)^(e2/2):
+    #   i < u: (x_u - x_i) + eps, expansion sign +1
+    #   i > v: (x_i - x_u) - eps, expansion sign -1
+    def distribute(idx: int, left: int, extra: list, factor: Fraction):
+        if idx == len(others):
+            if left == 0:
+                yield coulomb._canon_exponents(base + extra), coeff * factor
+            return
+        i, e2 = others[idx]
+        pair = (min(i, u), max(i, u))
+        for ki in range(left + 1):
+            f = half_binomial(e2, ki)
+            if f == 0:
+                continue
+            if ki % 2 and i > v:
+                f = -f
+            piece = extra + [(pair, -2 * ki)] if ki else extra
+            yield from distribute(idx + 1, left - ki, piece, factor * f)
+
+    yield from distribute(0, k, [], Fraction(1))
+
+
+def series_coefficient(c: coulomb.MonomialCombo, u: int, v: int, order) -> coulomb.MonomialCombo:
+    """Coefficient of eps^order in c after x_v = x_u + eps, exact.
+
+    The result keeps label u for the fusion point and drops v.  Requires
+    no other variable of c between u and v, so that all non-fused factors
+    stay bounded away from zero as eps -> 0+.
+    """
+    _check_adjacent(c, u, v)
+    order = coulomb._as_fraction(order)
+    r2 = order * 2
+    if r2.denominator != 1:
+        raise ValueError("order must be a half-integer")
+    r2 = int(r2)
+    return coulomb.collect(
+        piece for key, coeff in c.terms.items() for piece in _term_series(key, coeff, u, v, r2)
+    )
+
+
+def fuse_pair(c: coulomb.MonomialCombo, u: int, v: int, target: int, r) -> coulomb.MonomialCombo:
+    """Normalized fusion limit lim eps^-r [c at x_v = x_u + eps].
+
+    Every series order below r must cancel exactly across the combo,
+    otherwise DivergenceError reports the first surviving order.  The
+    fused point is relabeled u -> target.
+    """
+    _check_adjacent(c, u, v)
+    r = coulomb._as_fraction(r)
+    r2 = r * 2
+    if r2.denominator != 1:
+        raise ValueError("fusion order must be a half-integer")
+    r2 = int(r2)
+    if c.is_zero():
+        return coulomb.MonomialCombo()
+    min_e2 = min(
+        (dict(key).get((u, v), 0) for key in c.terms),
+        default=0,
+    )
+    if r2 - min_e2 > 2 * SERIES_ORDER_CAP:
+        raise TruncationLimitError(
+            f"{(r2 - min_e2) / 2} orders from leading exceeds cap {SERIES_ORDER_CAP}"
+        )
+    for o2 in range(min_e2, r2):
+        low = series_coefficient(c, u, v, Fraction(o2, 2))
+        if not low.is_zero():
+            raise DivergenceError(
+                f"order {Fraction(o2, 2)} below requested {r} has nonzero coefficient"
+            )
+    res = series_coefficient(c, u, v, r)
+    if target != u:
+        res = res.rename({u: target})
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -3,26 +3,29 @@ import warnings
 from fractions import Fraction as F
 
 import mpmath
+import numpy as np
 import pytest
 
 import oracles
 from mgffcross import incidence, partition_fn, probability
 from mgffcross.combinat import enumerate_link_patterns, tau
-from mgffcross.coulomb import (
+from mgffcross.coulomb import Compiled, MonomialCombo, condition, evaluate
+from oracles import (
     SERIES_ORDER_CAP,
-    Compiled,
-    MonomialCombo,
-    condition,
-    evaluate,
+    DivergenceError,
+    TruncationLimitError,
     fuse_pair,
     half_binomial,
     series_coefficient,
 )
-from mgffcross.errors import DivergenceError, TruncationLimitError
 
 
 def _m(coeff, exps):
     return MonomialCombo.monomial(coeff, exps)
+
+
+# The generic series extractor lives in `oracles` as the reference for
+# `partition_fn.fuse_once`; these tests keep it honest.
 
 
 def test_half_binomial_against_product_formula():
@@ -133,6 +136,25 @@ def test_table_of_combos_gives_each_combo_its_own_bits():
     assert Compiled(()).sums(x) == []
 
 
+@pytest.mark.parametrize("npoints, factors", [(4, 19), (6, 57), (8, 109)])
+def test_table_computes_only_the_factors_it_gathers(npoints, factors):
+    table = probability._table(npoints)
+    assert len(table.base) == len(table.e2) == factors
+    # each (pair, power) factor some term takes, d^0 of a pair it lacks included
+    combos = [partition_fn.z_mgff_total(npoints)]
+    combos += [num for _, num in probability._numerators(npoints) if num is not None]
+    col = {pair: j for j, pair in enumerate(table.pairs)}
+    want = set()
+    for c in combos:
+        for key in c.terms:
+            want.update((col[pair], e2) for pair, e2 in key)
+            if len(key) < len(col):
+                want.update((col[pair], 0) for pair in col.keys() - dict(key).keys())
+    assert sorted(zip(table.base.tolist(), table.e2.tolist())) == sorted(want)
+    gathered = set().union(*(np.unique(block).tolist() for block in table.slots))
+    assert gathered == set(range(factors))
+
+
 def test_empty_table_has_no_sums():
     x = {1: 0.3, 2: 1.7}
     assert Compiled(()).sums(x) == []
@@ -164,7 +186,7 @@ def test_overflowing_terms_raise_from_sums_and_conditions(spacing):
 
 
 def test_mixed_sign_integer_powers_evaluate_without_warning():
-    # negative bases: the half powers of the table are NaN, never gathered
+    # negative bases: only integer powers of them are computed
     x = {1: 2.5, 2: -0.75, 3: 1.25}
     c = _m(F(3, 2), {(1, 2): F(1), (1, 3): F(-3)}) + _m(1, {(2, 3): F(1, 2)})
     want = 1.5 * (x[2] - x[1]) * (x[3] - x[1]) ** -3 + math.sqrt(x[3] - x[2])
@@ -224,8 +246,6 @@ def _random_combo(rng, labels=(1, 2, 3, 4)):
 
 @pytest.mark.parametrize("order", (F(-1, 2), F(0), F(1, 2), F(1), F(3, 2)))
 def test_series_coefficient_matches_sympy(order):
-    import numpy as np
-
     rng = np.random.default_rng(7)
     pt = {1: F(0), 2: F(1), 3: F(5, 2)}  # label 4 collapses onto 3
     for trial in range(3):
@@ -255,8 +275,6 @@ def test_fuse_pair_leading_order():
 
 
 def test_fuse_pair_matches_sympy_limit_and_richardson():
-    import numpy as np
-
     rng = np.random.default_rng(11)
     pt = {1: F(0), 2: F(1), 3: F(5, 2)}
     ptf = {k: float(v) for k, v in pt.items()}

@@ -115,6 +115,20 @@ def test_fuse_once_unlinked_matches_sympy_limit():
         P.fuse_once(rb, 4)
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_fuse_once_equals_series_oracle(n):
+    """The closed form over the inverse-incidence row equals the generic
+    series extraction of Z_a, with every lower order checked to cancel,
+    as symbolic combos for every pairing and every position."""
+    for a in enumerate_pairings(n):
+        z = P.pure_partition(a)
+        for j in range(1, 2 * n):
+            r = F(-1, 2) if (j, j + 1) in a.links else F(1, 2)
+            want = oracles.fuse_pair(z, j, j + 1, j, r)
+            shift = {k: k - 1 for k in range(j + 2, 2 * n + 1)}
+            assert P.fuse_once(a, j).terms == want.rename(shift).terms
+
+
 def test_fused_pure_partition_single_pair():
     p = make_pattern([(1, 2), (1, 2)])
     assert P.fused_pure_partition(p).terms == {(((1, 2), -4),): F(1)}
