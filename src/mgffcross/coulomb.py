@@ -9,11 +9,11 @@ so the arithmetic is exact end to end.  Variables are integer labels;
 a pair key (a, b) always has a < b and the base is x_b - x_a, which is
 positive on ordered configurations x_a < x_b.
 
-Every operation that builds a combo from terms (`+`, `*`, `rename`, and
-the callers' sums through `combo_sum`) goes through one accumulator,
-`collect`: equal keys add up and zero sums drop out.  Collapsing points
-is not done here: `partition_fn` writes each fusion limit it needs in
-closed form from the inverse-incidence row.
+Every combo built from terms, by `+` or by a caller's stream of (key,
+coefficient) terms, goes through one accumulator, `collect`: equal keys
+add up and zero sums drop out.  There is no product and no relabelling:
+`partition_fn` writes each partition function and fusion limit it needs
+as terms in closed form from the inverse-incidence row.
 
 Evaluation goes through `Compiled`, a table of one or more combos over
 the union of their pairs: one difference per pair, one `pow` per (pair,
@@ -63,7 +63,7 @@ class MonomialCombo:
     """Finite rational combination of difference-product monomials.
 
     Internally a dict from canonical exponent keys to nonzero Fractions;
-    supports +, -, scalar and combo multiplication, exact equality.  The
+    supports +, scaling by a rational and exact equality.  The
     first evaluation caches a compiled table in `_compiled`, so a combo
     must not be mutated once built; the operations all return new ones.
     """
@@ -82,11 +82,6 @@ class MonomialCombo:
     @staticmethod
     def zero() -> "MonomialCombo":
         return MonomialCombo()
-
-    @staticmethod
-    def constant(c) -> "MonomialCombo":
-        c = _as_fraction(c)
-        return MonomialCombo({(): c} if c else None)
 
     @staticmethod
     def monomial(coeff, exponents) -> "MonomialCombo":
@@ -109,14 +104,6 @@ class MonomialCombo:
 
     # -- inspection
 
-    def variables(self) -> tuple[int, ...]:
-        vs: set[int] = set()
-        for key in self.terms:
-            for (a, b), _ in key:
-                vs.add(a)
-                vs.add(b)
-        return tuple(sorted(vs))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -138,18 +125,10 @@ class MonomialCombo:
         more = "" if len(self.terms) <= 4 else f" +{len(self.terms) - 4} terms"
         return f"<combo {' + '.join(parts)}{more}>"
 
-    # -- ring operations
+    # -- arithmetic
 
     def __add__(self, other: "MonomialCombo") -> "MonomialCombo":
-        return combo_sum((self, other))
-
-    def __neg__(self) -> "MonomialCombo":
-        res = MonomialCombo()
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "MonomialCombo") -> "MonomialCombo":
-        return self + (-other)
+        return collect(itertools.chain(self.terms.items(), other.terms.items()))
 
     def scale(self, c) -> "MonomialCombo":
         c = _as_fraction(c)
@@ -158,46 +137,6 @@ class MonomialCombo:
         res = MonomialCombo()
         res.terms = {k: c * v for k, v in self.terms.items()}
         return res
-
-    def __mul__(self, other):
-        if isinstance(other, MonomialCombo):
-            return collect(
-                (_canon_exponents(k1 + k2), c1 * c2)
-                for k1, c1 in self.terms.items()
-                for k2, c2 in other.terms.items()
-            )
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    # -- relabeling
-
-    def rename(self, mapping: dict[int, int]) -> "MonomialCombo":
-        """Relabel variables.  A pair whose orientation flips picks up
-        (-1)^e; that is only legal for integer exponents (even e2)."""
-        img = {v: mapping.get(v, v) for v in self.variables()}
-        if len(set(img.values())) != len(img):
-            raise ValueError("relabeling must be injective on the variables")
-
-        def renamed(key, c):
-            items = []
-            sign = 1
-            for (a, b), e2 in key:
-                na, nb = img[a], img[b]
-                if na == nb:
-                    raise ValueError("relabeling collapses a pair")
-                if na > nb:
-                    if e2 % 2:
-                        raise ValueError(
-                            f"orientation flip of pair ({a},{b}) with half-integer power"
-                        )
-                    na, nb = nb, na
-                    if (e2 // 2) % 2:
-                        sign = -sign
-                items.append(((na, nb), e2))
-            return _canon_exponents(items), sign * c
-
-        return collect(renamed(key, c) for key, c in self.terms.items())
 
 
 def collect(items) -> MonomialCombo:
@@ -215,11 +154,6 @@ def collect(items) -> MonomialCombo:
     res = MonomialCombo()
     res.terms = out
     return res
-
-
-def combo_sum(combos) -> MonomialCombo:
-    """The sum of an iterable of combos, accumulated once."""
-    return collect(item for c in combos for item in c.terms.items())
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ where theta is +1 when i and j are both up-step or both down-step
 positions of the pairing alpha and -1 otherwise: it is read off the
 pairing's cached up-step set `ups`, never tabulated.  Pure partition
 functions are the integer recombinations Z_alpha = sum_beta
-Minv[alpha, beta] U_beta with the inverse incidence matrix, summed in
-one pass by `coulomb.combo_sum`; they are positive on ordered
-configurations and satisfy the null-field second order PDEs.
+Minv[alpha, beta] U_beta with the inverse incidence matrix; they are
+positive on ordered configurations and satisfy the null-field second
+order PDEs.
 
 Every fusion limit is written in closed form over the inverse-incidence
 row (whose entries are an integer back-substitution, see `incidence`),
@@ -19,8 +19,13 @@ with each row entry's peaks, valleys and slopes read off the same `ups`.
 the points pairwise, x_{2j} -> x_{2j-1}, at normalized order +1/2 per
 pair produces the partition functions of valence-2 insertions: Zhat of a
 link pattern is the full pairwise fusion of Z over the slot lift of the
-pattern, grouped over the row of that lift and summed once.  The total
-partition function normalizes crossing probabilities.
+pattern, grouped over the row of that lift.  The total partition
+function normalizes crossing probabilities.
+
+Each builder is one stream of (exponent key, coefficient) terms into
+`coulomb.collect`, with every key written sorted and without zero
+exponents, in the labels of the result: no intermediate combo is built,
+multiplied or relabelled.
 
 All variable labels are 1-based; fused functions live on labels 1..2N.
 """
@@ -92,17 +97,22 @@ def _theta(ups: frozenset[int], i: int, j: int) -> int:
 # Conformal blocks and pure partition functions
 
 
+def _block_key(ups: frozenset[int], n2: int) -> coulomb.ExpKey:
+    """U's exponent key: theta(i, k) (a doubled power) on every pair i < k of 1..n2."""
+    pairs = itertools.combinations(range(1, n2 + 1), 2)
+    return tuple(((i, k), _theta(ups, i, k)) for i, k in pairs)
+
+
 def conformal_block(a: PairPartition) -> MonomialCombo:
     """U_a as an exact monomial: exponent theta(i,j)/2 on every pair i<j."""
-    n2 = 2 * a.n
-    pairs = itertools.combinations(range(1, n2 + 1), 2)
-    return MonomialCombo.from_doubled(1, [((i, j), _theta(a.ups, i, j)) for i, j in pairs])
+    return MonomialCombo({_block_key(a.ups, 2 * a.n): 1})
 
 
 @lru_cache(maxsize=None)
 def pure_partition(a: PairPartition) -> MonomialCombo:
     """Z_a = sum over beta of Minv[a, beta] * U_beta, exact."""
-    return coulomb.combo_sum(conformal_block(beta).scale(coeff) for beta, coeff in inverse_row(a))
+    n2 = 2 * a.n
+    return coulomb.collect((_block_key(beta.ups, n2), Fraction(c)) for beta, c in inverse_row(a))
 
 
 def fuse_once(a: PairPartition, j: int) -> MonomialCombo:
@@ -129,15 +139,17 @@ def fuse_once(a: PairPartition, j: int) -> MonomialCombo:
     n2 = 2 * a.n
     if not 1 <= j <= n2 - 1:
         raise ValueError(f"position {j} out of range")
-    c = coulomb.combo_sum(_collapse_pieces(a, j, n2))
-    shift = {k: k - 1 for k in range(j + 2, n2 + 1)}
-    return c.rename(shift) if shift else c
+    return coulomb.collect(_collapse_terms(a, j, n2))
 
 
-def _collapse_pieces(a: PairPartition, j: int, n2: int):
-    """One piece of `fuse_once` per contributing beta of the row."""
+def _collapse_terms(a: PairPartition, j: int, n2: int):
+    """The (key, coefficient) terms of `fuse_once`, in the closed labels:
+    a label i above j+1 is written as i - 1, which keeps pairs ordered."""
     linked = (j, j + 1) in a.links
     rest = tuple(i for i in range(1, n2 + 1) if i not in (j, j + 1))
+    label = {i: i - (i > j) for i in rest}
+    # the pair of i with the collapsed point, which keeps label j
+    with_j = {i: (label[i], j) if i < j else (j, label[i]) for i in rest}
     for beta, coeff in inverse_row(a):
         ups = beta.ups
         slope = (j in ups) == (j + 1 in ups)
@@ -145,22 +157,21 @@ def _collapse_pieces(a: PairPartition, j: int, n2: int):
         # a linked j takes peaks and valleys, an unlinked j slopes and valleys
         if slope if linked else peak:
             continue
+        c = Fraction(coeff)
         # U_beta without the points j and j+1
-        exps = [((i, k), _theta(ups, i, k)) for i, k in itertools.combinations(rest, 2)]
+        block = tuple(
+            ((label[i], label[k]), _theta(ups, i, k)) for i, k in itertools.combinations(rest, 2)
+        )
         if linked:
-            yield MonomialCombo.from_doubled(coeff, exps)
+            yield block, c
         elif slope:
-            merged = [((min(i, j), max(i, j)), 2 * _theta(ups, i, j)) for i in rest]
-            yield MonomialCombo.from_doubled(coeff, exps + merged)
+            merged = tuple((with_j[i], 2 * _theta(ups, i, j)) for i in rest)
+            yield tuple(sorted(block + merged)), c
         else:  # a valley, where s_i = theta(i, j+1)
             # s_i / (x_i - x_j) is s_i (x_i - x_j)^-1 above j, -s_i (x_j - x_i)^-1 below
-            pole = coulomb.combo_sum(
-                MonomialCombo.from_doubled(
-                    _theta(ups, i, j + 1) * (1 if i > j else -1), [((min(i, j), max(i, j)), -2)]
-                )
-                for i in rest
-            )
-            yield MonomialCombo.from_doubled(-coeff, exps) * pole
+            for i in rest:
+                s = _theta(ups, i, j + 1) * (1 if i > j else -1)
+                yield tuple(sorted(block + ((with_j[i], -2),))), -c * s
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +205,23 @@ def fused_pure_partition(p: LinkPattern) -> MonomialCombo:
     it runs over the base pairings beta in the inverse-incidence row of
     the lift whose Dyck path has no peak at any odd position.  Odd
     positions carrying a valley form the set J; the fused limit of the
-    grouped series is an explicit sum over partial matchings of J.
+    grouped series is an explicit sum over partial matchings of J: each
+    matched pair (a, b) takes the factor 2 (x_b - x_a)^-2, and each
+    unmatched u the factor sum_i 2 theta(2i, 2u-1) / (x_i - x_u) over the
+    i outside J.
     """
     if set(p.valences) != {2}:
         raise ValueError("pattern must have valence 2 at every point")
-    return coulomb.combo_sum(_grouped_pieces(tau(p), p.npoints))
+    return coulomb.collect(_fused_terms(tau(p), p.npoints))
 
 
-def _grouped_pieces(alpha: PairPartition, n2: int):
-    """One piece of `fused_pure_partition` per surviving beta of the row."""
+def _fused_terms(alpha: PairPartition, n2: int):
+    """The (key, coefficient) terms of `fused_pure_partition`: one per
+    surviving beta of the row, partial matching of J, and choice of one
+    pole i_u outside J for every unmatched u.  Its key joins the block on
+    the pairs outside J, (x_b - x_a)^-2 on each matched pair and
+    (x_i - x_u)^-1 on each pole: disjoint sets of pairs with nonzero
+    exponents, so the sorted items are the key."""
     for beta, coeff in inverse_row(alpha):
         ups = beta.ups
         # step 2j-1 up and step 2j down is a peak at 2j-1; down then up, a valley
@@ -210,36 +229,29 @@ def _grouped_pieces(alpha: PairPartition, n2: int):
             continue
         jset = tuple(j for j in range(1, n2 + 1) if 2 * j - 1 not in ups and 2 * j in ups)
         rest = tuple(i for i in range(1, n2 + 1) if i not in jset)
-        g_exps = [
+        block = tuple(
             ((i, i2), 4 * _theta(ups, 2 * i, 2 * i2))
             for i, i2 in itertools.combinations(rest, 2)
-        ]
-        gmono = MonomialCombo.from_doubled(1, g_exps)
-        zus = {
-            u: coulomb.combo_sum(
-                MonomialCombo.from_doubled(
+        )
+        # each u's poles 2 theta(2i, 2u-1) / (x_i - x_u), as (key item, coefficient)
+        poles = {
+            u: [
+                (
+                    ((min(i, u), max(i, u)), -2),
                     2 * _theta(ups, 2 * i, 2 * u - 1) * (1 if i > u else -1),
-                    [((min(i, u), max(i, u)), -2)],
                 )
                 for i in rest
-            )
+            ]
             for u in jset
         }
-        ssum = coulomb.combo_sum(_matching_terms(jset, zus))
-        yield (gmono * ssum).scale(coeff)
-
-
-def _matching_terms(jset: tuple[int, ...], zus: dict[int, MonomialCombo]):
-    """Per partial matching of J: (2 (x_b - x_a)^-2) per matched pair times
-    the factor zus[u] per unmatched u; a zero factor drops the matching."""
-    for pairs, unmatched in _partial_matchings(jset):
-        if any(zus[u].is_zero() for u in unmatched):
-            continue
-        # jset is sorted, so every matched pair (a, b) has a < b
-        term = MonomialCombo.from_doubled(2 ** len(pairs), [(pair, -4) for pair in pairs])
-        for u in unmatched:
-            term = term * zus[u]
-        yield term
+        for pairs, unmatched in _partial_matchings(jset):
+            # jset is sorted, so every matched pair (a, b) has a < b
+            fixed = block + tuple((pair, -4) for pair in pairs)
+            c = coeff * 2 ** len(pairs)
+            # no pole to choose (J is everything) yields no term: that factor is zero
+            for choice in itertools.product(*(poles[u] for u in unmatched)):
+                items = fixed + tuple(item for item, _ in choice)
+                yield tuple(sorted(items)), Fraction(c * math.prod(s for _, s in choice))
 
 
 # ---------------------------------------------------------------------------

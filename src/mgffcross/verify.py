@@ -253,9 +253,15 @@ def run_suite(
 ) -> list[dict]:
     """Run one named check suite; returns a list of check records with
     fields name, value, tol, ok.  `perturb` != 0 corrupts each checked
-    function first (negative control: checks should then fail)."""
+    function first (negative control: checks should then fail).
+    ValueError when there would be nothing to check: fewer than 2 points
+    or fewer than one configuration per function."""
     import numpy as np
 
+    if npoints < 2:
+        raise ValueError(f"need at least 2 points (n >= 1), got {npoints}")
+    if configs < 1:
+        raise ValueError(f"need at least 1 configuration per function, got {configs}")
     rng = np.random.default_rng(seed)
     checks: list[dict] = []
 

@@ -16,7 +16,9 @@ Two lattice helpers only tests need live here too: the vertex id of a
 grid point and the discrete Laplacian residual of a field; so do the
 complete elliptic integrals K, K' of a rectangle, which the theta-quotient
 boundary map no longer reads, and the connection probability between
-pairings, which no library route uses.  The null-field residuals are
+pairings, which no library route uses, and the relabelling of a combo's
+variables (`variables`, `rename`), which the series extractor needs and
+the library's term streams do not.  The null-field residuals are
 recomputed with `mpmath.diff` derivatives instead of the closed-form
 term derivatives.
 """
@@ -133,7 +135,7 @@ def sequential_fused_pure_partition(p):
     c = partition_fn.pure_partition(tau(p))
     for j in range(1, p.npoints + 1):
         c = fuse_pair(c, 2 * j - 1, 2 * j, 2 * j - 1, Fraction(1, 2))
-    return c.rename({2 * j - 1: j for j in range(1, p.npoints + 1)})
+    return rename(c, {2 * j - 1: j for j in range(1, p.npoints + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +221,39 @@ def half_binomial(e2: int, k: int) -> Fraction:
     return num / math.factorial(k)
 
 
+def variables(c: coulomb.MonomialCombo) -> tuple[int, ...]:
+    """The labels some term of c depends on, sorted."""
+    return tuple(sorted({v for key in c.terms for pair, _ in key for v in pair}))
+
+
+def rename(c: coulomb.MonomialCombo, mapping: dict[int, int]) -> coulomb.MonomialCombo:
+    """Relabel variables.  A pair whose orientation flips picks up
+    (-1)^e; that is only legal for integer exponents (even e2)."""
+    img = {v: mapping.get(v, v) for v in variables(c)}
+    if len(set(img.values())) != len(img):
+        raise ValueError("relabeling must be injective on the variables")
+
+    def renamed(key, coeff):
+        items = []
+        sign = 1
+        for (a, b), e2 in key:
+            na, nb = img[a], img[b]
+            if na > nb:
+                if e2 % 2:
+                    raise ValueError(f"orientation flip of pair ({a},{b}) with half-integer power")
+                na, nb = nb, na
+                if (e2 // 2) % 2:
+                    sign = -sign
+            items.append(((na, nb), e2))
+        return coulomb._canon_exponents(items), sign * coeff
+
+    return coulomb.collect(renamed(key, coeff) for key, coeff in c.terms.items())
+
+
 def _check_adjacent(c: coulomb.MonomialCombo, u: int, v: int) -> None:
     if not u < v:
         raise ValueError("need u < v")
-    between = [w for w in c.variables() if u < w < v]
+    between = [w for w in variables(c) if u < w < v]
     if between:
         raise ValueError(f"variables {between} lie strictly between fused pair ({u},{v})")
 
@@ -325,7 +356,7 @@ def fuse_pair(c: coulomb.MonomialCombo, u: int, v: int, target: int, r) -> coulo
             )
     res = series_coefficient(c, u, v, r)
     if target != u:
-        res = res.rename({u: target})
+        res = rename(res, {u: target})
     return res
 
 

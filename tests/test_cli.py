@@ -384,6 +384,24 @@ def test_verify_perturbed_fails(capsys):
     assert int(passed) < int(total)
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("--suite", "asy", "0"), "at least 2 points"),
+        (("--suite", "bounds", "0"), "at least 2 points"),
+        (("--suite", "pde", "0"), "at least 2 points"),
+        (("--suite", "cov", "0"), "at least 2 points"),
+        (("--suite", "pde", "2", "--configs", "0"), "at least 1 configuration"),
+        (("--suite", "bounds", "1", "--configs", "0"), "at least 1 configuration"),
+    ],
+)
+def test_verify_refuses_to_check_nothing(capsys, argv, reason):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert reason in err
+    assert "checks passed" not in out
+
+
 def test_verify_requires_suite(capsys):
     code, _, _ = run_cli(capsys, "verify", "2")
     assert code == 2

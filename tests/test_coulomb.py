@@ -54,11 +54,9 @@ def test_algebra_against_direct_evaluation():
 
     assert evaluate(f, x) == pytest.approx(direct_f(x), rel=1e-15)
     assert evaluate(f + g, x) == pytest.approx(direct_f(x) + direct_g(x), rel=1e-14)
-    assert evaluate(f - g, x) == pytest.approx(direct_f(x) - direct_g(x), rel=1e-14)
-    assert evaluate(f * g, x) == pytest.approx(direct_f(x) * direct_g(x), rel=1e-14)
+    assert evaluate(f + g.scale(-1), x) == pytest.approx(direct_f(x) - direct_g(x), rel=1e-14)
     assert evaluate(f.scale(F(5, 2)), x) == pytest.approx(2.5 * direct_f(x), rel=1e-15)
-    assert evaluate(3 * f, x) == pytest.approx(3 * direct_f(x), rel=1e-15)
-    assert (f - f).is_zero()
+    assert (f + f.scale(-1)).is_zero()
 
 
 def test_like_terms_merge_and_cancel():
@@ -67,8 +65,8 @@ def test_like_terms_merge_and_cancel():
     s = a + b
     assert len(s.terms) == 1 and list(s.terms.values()) == [F(1)]
     assert (a + a.scale(-1)).is_zero()
-    # multiplying merges exponents on the shared pair
-    p = _m(1, {(1, 2): F(1, 2)}) * _m(1, {(1, 2): F(3, 2)})
+    # a monomial merges repeated exponents on one pair
+    p = _m(1, [((1, 2), F(1, 2)), ((1, 2), F(3, 2))])
     ((key, c),) = p.terms.items()
     assert key == (((1, 2), 4),) and c == 1
 
@@ -118,7 +116,14 @@ def test_table_of_combos_gives_each_combo_its_own_bits():
     # mpmath value equal those of the combo compiled alone
     f = _m(F(2, 3), {(1, 2): F(-1, 2), (2, 3): F(1, 2)}) + _m(F(-1, 7), {(1, 3): F(3)})
     g = _m(F(5, 3), {(3, 4): F(-2), (1, 4): F(1, 2)}) + _m(3, {(2, 4): F(1)})
-    combos = (f, g, MonomialCombo.zero(), MonomialCombo.constant(F(1, 3)), f * g)
+    # four terms over all six pairs
+    h = (
+        _m(F(10, 9), {(1, 2): F(-1, 2), (2, 3): F(1, 2), (3, 4): F(-2), (1, 4): F(1, 2)})
+        + _m(2, {(1, 2): F(-1, 2), (2, 3): F(1, 2), (2, 4): F(1)})
+        + _m(F(-5, 21), {(1, 3): F(3), (3, 4): F(-2), (1, 4): F(1, 2)})
+        + _m(F(-3, 7), {(1, 3): F(3), (2, 4): F(1)})
+    )
+    combos = (f, g, MonomialCombo.zero(), MonomialCombo({(): F(1, 3)}), h)
     table = Compiled(combos)
     x = {1: 0.3, 2: 1.7, 3: 2.2, 4: 5.1}
     alone = [MonomialCombo(dict(c.terms)) for c in combos]
@@ -216,17 +221,17 @@ def test_float_route_within_condition_bound_of_mpmath(npoints):
 
 def test_rename_orientation_rules():
     f = _m(F(3), {(1, 2): F(1)})  # (x2-x1)^1
-    flipped = f.rename({1: 2, 2: 1})
+    flipped = oracles.rename(f, {1: 2, 2: 1})
     ((key, c),) = flipped.terms.items()
     assert key == (((1, 2), 2),) and c == -3  # odd integer power flips sign
     g = _m(1, {(1, 2): F(2)})
-    assert g.rename({1: 2, 2: 1}).terms == g.terms  # even power, no sign
+    assert oracles.rename(g, {1: 2, 2: 1}).terms == g.terms  # even power, no sign
     h = _m(1, {(1, 2): F(1, 2)})
     with pytest.raises(ValueError):
-        h.rename({1: 2, 2: 1})  # half power cannot flip
+        oracles.rename(h, {1: 2, 2: 1})  # half power cannot flip
     with pytest.raises(ValueError):
-        f.rename({1: 3, 2: 3})
-    shifted = h.rename({1: 5, 2: 7})
+        oracles.rename(f, {1: 3, 2: 3})
+    shifted = oracles.rename(h, {1: 5, 2: 7})
     assert list(shifted.terms) == [(((5, 7), 1),)]
 
 
@@ -307,7 +312,7 @@ def test_fuse_pair_divergence_and_truncation():
     with pytest.raises(TruncationLimitError):
         fuse_pair(c, 1, 2, 1, F(-1, 2) + SERIES_ORDER_CAP + 1)
     # exact cancellation of the leading order is fine
-    d = _m(1, {(1, 2): F(-1, 2), (1, 3): F(1)}) - _m(1, {(1, 2): F(-1, 2), (2, 3): F(1)})
+    d = _m(1, {(1, 2): F(-1, 2), (1, 3): F(1)}) + _m(-1, {(1, 2): F(-1, 2), (2, 3): F(1)})
     out = fuse_pair(d, 1, 2, 1, F(1, 2))
     # (x3-x1) - (x3-x2) = x2-x1 -> eps exactly, so the limit is 1
     assert out.terms == {(): F(1)}
@@ -320,4 +325,4 @@ def test_fuse_pair_relabels_to_target():
     assert out.terms == {(((1, 2), 2),): F(1)}
     # and the fused label can move elsewhere
     moved = fuse_pair(c, 2, 3, 9, F(1))
-    assert set(moved.variables()) == {1, 9}
+    assert oracles.variables(moved) == (1, 9)

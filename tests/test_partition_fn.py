@@ -12,7 +12,7 @@ from mgffcross.combinat import (
     make_pattern,
     tau,
 )
-from mgffcross.coulomb import MonomialCombo, evaluate
+from mgffcross.coulomb import MonomialCombo, _canon_exponents, evaluate
 from mgffcross.incidence import arrow_relation, inverse_row
 
 X4 = (0.0, 1.0, 2.0, 3.0)
@@ -98,8 +98,9 @@ def test_fuse_once_linked_removes_the_link(n):
             if n == 1:
                 assert got.terms == {(): F(1)}
             else:
-                want = P.pure_partition(oracles.remove_link(a, j)).rename(
-                    {m: m + 1 for m in range(j, 2 * n - 1)}
+                want = oracles.rename(
+                    P.pure_partition(oracles.remove_link(a, j)),
+                    {m: m + 1 for m in range(j, 2 * n - 1)},
                 )
                 assert got.terms == want.terms
 
@@ -126,7 +127,7 @@ def test_fuse_once_equals_series_oracle(n):
             r = F(-1, 2) if (j, j + 1) in a.links else F(1, 2)
             want = oracles.fuse_pair(z, j, j + 1, j, r)
             shift = {k: k - 1 for k in range(j + 2, 2 * n + 1)}
-            assert P.fuse_once(a, j).terms == want.rename(shift).terms
+            assert P.fuse_once(a, j).terms == oracles.rename(want, shift).terms
 
 
 def test_fused_pure_partition_single_pair():
@@ -151,6 +152,19 @@ def test_sum_rule(npoints):
         if arrow_relation(om, tau(p)):
             total = total + P.fused_pure_partition(p)
     assert total.terms == P.z_mgff_total(npoints).terms
+
+
+@pytest.mark.parametrize("npoints", (2, 4, 6, 8))
+def test_term_streams_write_canonical_keys(npoints):
+    """Each builder writes its keys sorted, pair-ordered and without zero
+    exponents, so `collect` needs no canonicalising pass."""
+    combos = [P.fused_pure_partition(p) for p in enumerate_link_patterns((2,) * npoints)]
+    for a in enumerate_pairings(npoints // 2):
+        combos.append(P.pure_partition(a))
+        combos += [P.fuse_once(a, j) for j in range(1, npoints)]
+    for c in combos:
+        for key in c.terms:
+            assert key == _canon_exponents(key)
 
 
 def test_z_mgff_total_structure():
