@@ -17,11 +17,14 @@ as terms in closed form from the inverse-incidence row.
 
 Evaluation goes through `Compiled`, a table of one or more combos over
 the union of their pairs: one difference per pair, one `pow` per (pair,
-power) factor that some term gathers, a gather, one product per row in
-pair order and one `math.fsum` per combo.  `evaluate` and `condition`
-use the one-combo table cached on a combo; a caller that needs several
-combos at the same point builds one table over all of them and gets each
-combo's bits unchanged.
+power) factor that some term gathers, a gather, one product in pair
+order per distinct exponent key, one coefficient multiple per term and
+one `math.fsum` per combo.  The float bits are those of this numpy
+build's `np.power`, which on some machines differs from libm `pow` in
+the last place; so the powers stay one array call.  `evaluate` and
+`condition` use the one-combo table cached on a combo; a caller that
+needs several combos at the same point builds one table over all of them
+and gets each combo's bits unchanged.
 """
 
 from __future__ import annotations
@@ -162,13 +165,20 @@ def collect(items) -> MonomialCombo:
 
 class Compiled:
     """Combos as one table over the union of their pairs.  Term t is
-    coef[t] * prod_j d_j^(e2[t, j]/2) and combo i owns the terms spans[i].
-    The factors some term gathers are d_base[f]^(e2[f]/2), each computed
-    by one `pow` per evaluation, all in one array call; slots holds,
-    pair-major in blocks of GATHER_ROWS terms, which factor each term
-    takes in each pair.  A pair a combo lacks has e2 = 0 and gathers d^0 =
-    1.0, an exact factor, so a combo's sums keep their bits in any table
-    that holds it; one combo is the one-span case.
+    coef[t] * prod_j d_j^(e2[k, j]/2) for its key k = key_of[t], and combo
+    i owns the terms spans[i].  Combos share keys (the 6-point table has
+    983 terms over 184 keys, the 8-point one 139,038 over 8,642), so the
+    product of each distinct key is formed once, in pair order, and each
+    term is its key's product times its coefficient: the bits of forming
+    the product per term.  The factors some key gathers are
+    d_base[f]^(e2[f]/2), each computed by one `pow` per evaluation, all in
+    one array call, whose bits are those of this numpy build's
+    `np.power`; slots holds, pair-major in blocks of GATHER_ROWS keys in
+    first-seen order, which factor each key takes in each pair.  A pair a
+    combo lacks has e2 = 0 and gathers d^0 = 1.0, an exact factor, so a
+    combo's sums keep their bits in any table that holds it; one combo is
+    the one-span case.  The `dps` route reads each term's factor row
+    through the same key_of.
 
     The float pass converts each variable's value once.  It enters
     `np.errstate` only when some difference lies outside `safe`, the
@@ -179,8 +189,8 @@ class Compiled:
     which is non-finite exactly when one of its terms is."""
 
     __slots__ = (
-        "pairs", "labels", "index", "base", "e2", "odd", "slots", "coef", "exact",
-        "spans", "safe",
+        "pairs", "labels", "index", "base", "e2", "power", "odd", "slots", "key_of", "coef",
+        "exact", "spans", "safe",
     )
 
     def __init__(self, combos):
@@ -192,9 +202,14 @@ class Compiled:
         at = {v: i for i, v in enumerate(self.labels)}
         self.index = tuple((at[a], at[b]) for a, b in self.pairs)
         col = {pair: j for j, pair in enumerate(self.pairs)}
-        # terms in dict order: each term's product and the exact fsum do
-        # not depend on it, so equal combos still evaluate to equal bits
-        keys = [key for t in terms for key in t]
+        # terms in dict order, each pointing at its key's product, the keys
+        # in first-seen order: a product and the exact fsum do not depend
+        # on either order, so equal combos still evaluate to equal bits
+        first: dict[ExpKey, int] = {}
+        self.key_of = np.fromiter(
+            (first.setdefault(key, len(first)) for t in terms for key in t), np.intp
+        )
+        keys = list(first)
         blocks = []
         for i in range(0, len(keys), GATHER_ROWS):
             chunk = keys[i : i + GATHER_ROWS]
@@ -217,6 +232,7 @@ class Compiled:
         used = np.flatnonzero(seen)
         self.base = used // width
         self.e2 = used % width + low
+        self.power = self.e2 / 2
         # half-integer powers: a pair with any odd exponent
         self.odd = tuple(sorted(set(self.base[self.e2 % 2 == 1].tolist())))
         self.slots = tuple(np.searchsorted(used, e2) for e2 in blocks)
@@ -262,15 +278,16 @@ class Compiled:
             return self._products(np.array(d))
 
     def _products(self, d: np.ndarray) -> np.ndarray:
-        pw = np.power(d[self.base], self.e2 / 2)
-        # each term multiplies its factors in pair order, so equal combos
+        pw = np.power(d[self.base], self.power)
+        # each key multiplies its factors in pair order, so equal combos
         # give equal bits; a block at a time keeps the temporary small
         if len(self.slots) == 1:
-            terms = np.multiply.reduce(pw[self.slots[0]])
+            products = np.multiply.reduce(pw[self.slots[0]])
         else:
-            terms = np.empty(len(self.coef))
-            for i, block in zip(range(0, len(terms), GATHER_ROWS), self.slots):
-                np.multiply.reduce(pw[block], axis=0, out=terms[i : i + GATHER_ROWS])
+            products = np.empty(sum(block.shape[1] for block in self.slots))
+            for i, block in zip(range(0, len(products), GATHER_ROWS), self.slots):
+                np.multiply.reduce(pw[block], axis=0, out=products[i : i + GATHER_ROWS])
+        terms = products[self.key_of]
         terms *= self.coef
         return terms
 
@@ -318,12 +335,13 @@ class Compiled:
                 for j, e2 in zip(self.base.tolist(), self.e2.tolist())
             ]
             sums = []
-            rows = (row for block in self.slots for row in block.T.tolist())
+            rows = [row for block in self.slots for row in block.T.tolist()]
+            key_of = self.key_of.tolist()
             for a, b in self.spans:
                 terms = []
-                for c, row in zip(self.exact[a:b], itertools.islice(rows, b - a)):
+                for c, k in zip(self.exact[a:b], key_of[a:b]):
                     t = mpmath.mpf(c.numerator) / c.denominator
-                    for f in row:
+                    for f in rows[k]:
                         if pw[f] is not None:
                             t *= pw[f]
                     terms.append(t)

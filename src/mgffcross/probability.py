@@ -31,9 +31,12 @@ Jacobi's imaginary transformation keeps every nome at most e^(-pi), so
 five terms reach full float precision at any ratio; with `dps` set the
 same quotients run through `mpmath.jtheta`.  A mark at a corner skips
 the series: sn(-+K) = -+1 and sn(+-K + iK') = +-1/k, with 1/k a quotient
-of the theta constants the map already holds, so the four corners of
-`RectanglePolygon.corners` cost no series call and y_2, at the origin,
-is exactly -1.  Nothing here imports scipy.
+of theta constants computed once, by `_inverse_k`, and y_2, at the
+origin, is exactly -1.  The four marks of `RectanglePolygon.corners`
+build no map at all: in float they go straight to (-1/k, -1, 1, 1/k)
+whenever 1 < 1/k < inf, which is exactly when the map's raw images are
+finite and increasing, and otherwise take the map's route and fail as
+it does.  Nothing here imports scipy.
 
 The cluster dictionary at the end maps a pair of arc partitions
 (which positive arcs are wired together, which negative arcs) to the
@@ -224,8 +227,11 @@ class RectanglePolygon:
     @classmethod
     def corners(cls, L: float) -> "RectanglePolygon":
         """The four corners: y_2 origin, y_3 = (L,0), y_4 = (L,1), y_1 = (0,1).
-        Positive arcs are then the left and right edges."""
-        return cls(float(L), (2.0 * L + 1.0, 0.0, float(L), L + 1.0))
+        Positive arcs are then the left and right edges.  L is made a
+        float first, so the marks are the float arc lengths of its value
+        whatever its type."""
+        L = float(L)
+        return cls(L, _corner_marks(L))
 
 
 def _theta_constants(ratio: float) -> tuple[float, float, float]:
@@ -272,6 +278,56 @@ def _times_exp(x: float, e: float) -> float:
         return math.copysign(math.inf, x)
 
 
+def _corner_marks(L: float) -> tuple[float, float, float, float]:
+    """Arc lengths of the corners (0, 1), (0, 0), (L, 0) and (L, 1): the
+    marks of `RectanglePolygon.corners`, whose images are -1/k, -1, 1, 1/k."""
+    return (2.0 * L + 1.0, 0.0, L, L + 1.0)
+
+
+def _orders(pa: float) -> tuple[range, range]:
+    """The n of the series terms kept at the nome e^(-pa), smallest terms
+    first: q^(n(n+1)) for n <= 4 while q^(n^2) counts, and q^(n^2) for
+    1 <= n <= 5 while q^(n(n-1)), the most a q^(n^2) cosh(2ny) term
+    reaches, counts."""
+    cut = _CUT / pa
+    odd = range(min(4, int(math.sqrt(cut))), -1, -1)
+    return odd, range(min(5, int(0.5 + math.sqrt(0.25 + cut))), 0, -1)
+
+
+def _inverse_k(L: float) -> tuple:
+    """1/k of the map of `_BoundaryMap` at ratio L, with what that map
+    shares of its computation: (1/k, pa, c, narrow).  The nome is
+    e^(-pa), pa = pi max(2/L, L/2).  For L > 2, c = th3/th4 and 1/k = c^2
+    = 1 + (th3 - th4)(th3 + th4)/th4^2, rounded once, with th3 - th4 =
+    4(q + q^9 + ...) free of cancellation: the corner gap 1/k - 1 ~ 8q is
+    all that sets q(L) at large L; narrow is None.  For L <= 2, c = th3/th2
+    with the factor 2 q^(1/4) of th2 taken out, 1/k = c * top with top =
+    (c/4) e^(pi/L), and narrow = (ph, ph_split, pl, top), where pi/L = ph +
+    pl to twice float precision and ph_split is ph in `_split` halves."""
+    wide = L > 2.0
+    pa = math.pi * (0.5 * L if wide else 2.0 / L)
+    odd_n, even_n = _orders(pa)
+    exp = math.exp
+    even = [2.0 * exp(-pa * n * n) for n in even_n]
+    th3 = 1.0 + sum(even)
+    if wide:
+        even4 = [-e if n & 1 else e for n, e in zip(even_n, even)]
+        th4 = 1.0 + sum(even4)
+        d = sum([e - e4 for e, e4 in zip(even, even4)])
+        return 1.0 + d * (th3 + th4) / (th4 * th4), pa, th3 / th4, None
+    c = th3 / sum([exp(-(pa * n * (n + 1) if n else 0.0)) for n in odd_n])
+    # e^(pi v/L) is as accurate as its exponent is absolutely, and pi/L
+    # reaches 3e3 at L = 1e-3
+    ph = math.pi / L
+    ph_split = (ph, 0.0) if ph > 1e300 else _split(ph)
+    (ah, al), (bh, bl) = ph_split, _split(L)
+    err = ((ah * bh - ph * L) + ah * bl + al * bh) + al * bl  # ph L - fl(ph L)
+    pl = (((math.pi - ph * L) - err) + _PI_LO) / L
+    # 1/(k sn) = (c/4) e^(pi/L) th4/th1 on the top edge
+    top = _times_exp(0.25 * c * (1.0 + pl), ph)
+    return c * top, pa, c, (ph, ph_split, pl, top)
+
+
 class _BoundaryMap:
     """Arc length on the boundary of [0, L] x [0, 1] -> real image under
     z -> sn(2K(z - L/2)/L, k), the map onto the upper half plane with
@@ -295,10 +351,9 @@ class _BoundaryMap:
     iy), each summed in the same order as on its own.
 
     A mark at a corner's arc length, 0, L, L + 1 or 2L + 1 as
-    `RectanglePolygon.corners` writes them, maps to its exact image -1,
-    1, 1/k or -1/k without a series.  1/k = th3^2/th2^2 at the nome
-    e^(-2 pi/L) is c * top for L <= 2, and th3^2/th4^2 at the nome
-    e^(-pi L/2), c^2, for L > 2, there rounded once from 1/k - 1.
+    `_corner_marks` writes them, maps to its exact image -1, 1, 1/k or
+    -1/k without a series, 1/k and the constants c and top coming from
+    `_inverse_k`.
     """
 
     __slots__ = (
@@ -308,52 +363,28 @@ class _BoundaryMap:
 
     def __init__(self, L: float):
         self.L = L
-        # arc lengths of the corners (L, 1) and (0, 1) and of the whole walk
-        self.up, self.back, self.per = L + 1.0, 2.0 * L + 1.0, 2.0 * L + 2.0
-        self.wide = wide = L > 2.0
-        pa = math.pi * (0.5 * L if wide else 2.0 / L)
+        marks = _corner_marks(L)
+        # arc lengths of the corners (0, 1) and (L, 1) and of the whole walk
+        self.back, _, _, self.up = marks
+        self.per = 2.0 * L + 2.0
+        inv_k, pa, self.c, narrow = _inverse_k(L)
+        self.corners = dict(zip(marks, (-inv_k, -1.0, 1.0, inv_k)))
+        self.wide = narrow is None
+        if narrow:
+            self.ph, self.ph_split, self.pl, self.top = narrow
         # smallest terms first: (2n, -log q^(n(n+1)), (-1)^n, (-1)^n q^(n(n+1)))
-        # for n <= 4 while q^(n^2) counts, and (2n, -log q^(n^2), 2 q^(n^2),
-        # 2 (-1)^n q^(n^2)) for 1 <= n <= 5 while q^(n(n-1)), the most a
-        # q^(n^2) cosh(2ny) term reaches, counts
-        cut = _CUT / pa
+        # and (2n, -log q^(n^2), 2 q^(n^2), 2 (-1)^n q^(n^2))
+        odd_n, even_n = _orders(pa)
         exp = math.exp
         self.odd = odd = []
-        for n in range(min(4, int(math.sqrt(cut))), -1, -1):
+        for n in odd_n:
             a, sign = pa * n * (n + 1) if n else 0.0, -1.0 if n & 1 else 1.0
             odd.append((2 * n, a, sign, sign * exp(-a)))
         self.even = even = []
-        for n in range(min(5, int(0.5 + math.sqrt(0.25 + cut))), 0, -1):
+        for n in even_n:
             b = pa * n * n
             e = 2.0 * exp(-b)
             even.append((2 * n, b, e, -e if n & 1 else e))
-        th3 = 1.0 + sum([e for _, _, e, _ in even])
-        if wide:
-            th4 = 1.0 + sum([e for _, _, _, e in even])
-            self.c = th3 / th4
-            # 1/k = c^2 = 1 + (th3 - th4)(th3 + th4)/th4^2 rounded once, with
-            # th3 - th4 = 4(q + q^9 + ...) free of cancellation: the corner
-            # gap 1/k - 1 ~ 8q is all that sets q(L) at large L
-            d = sum([e - e4 for _, _, e, e4 in even])
-            self._corners(1.0 + d * (th3 + th4) / (th4 * th4))
-            return
-        # th3/th2, with the factor 2 q^(1/4) of th2 taken out
-        self.c = c = th3 / sum([s * o for _, _, s, o in odd])
-        # pi/L = ph + pl to twice float precision: e^(pi v/L) is as
-        # accurate as its exponent is absolutely, and pi/L reaches 3e3
-        # at L = 1e-3
-        self.ph = ph = math.pi / L
-        self.ph_split = (ph, 0.0) if ph > 1e300 else _split(ph)
-        (ah, al), (bh, bl) = self.ph_split, _split(L)
-        err = ((ah * bh - ph * L) + ah * bl + al * bh) + al * bl  # ph L - fl(ph L)
-        self.pl = (((math.pi - ph * L) - err) + _PI_LO) / L
-        # 1/(k sn) = (c/4) e^(pi/L) th4/th1 on the top edge
-        self.top = _times_exp(0.25 * c * (1.0 + self.pl), ph)
-        self._corners(c * self.top)
-
-    def _corners(self, inv_k: float) -> None:
-        """Each corner's arc length -> its exact image."""
-        self.corners = {0.0: -1.0, self.L: 1.0, self.up: inv_k, self.back: -inv_k}
 
     def _th14(self, z: float) -> tuple[float, float]:
         """th1(z) / (2 q^(1/4)) and th4(z)."""
@@ -454,12 +485,12 @@ def _mp_boundary_map(L: float):
     import mpmath
     from mpmath import jtheta, mpf, pi
 
-    ends = (0.0, L, L + 1.0, 2.0 * L + 1.0)  # as `RectanglePolygon.corners` writes them
+    marks = _corner_marks(L)
     L = mpf(L)
     wide = L > 2
     q = mpmath.exp(-pi * (L / 2 if wide else 2 / L))
     c = jtheta(3, 0, q) / jtheta(4 if wide else 2, 0, q)  # c^2 = 1/k
-    corners = dict(zip(ends, (mpf(-1), mpf(1), c * c, -c * c)))  # an mpf hashes as its float
+    corners = dict(zip(marks, (-c * c, mpf(-1), mpf(1), c * c)))  # an mpf hashes as its float
 
     def image(s):
         s = mpf(s) % (2 * L + 2)
@@ -499,8 +530,16 @@ def rect_boundary_to_halfplane(R: RectanglePolygon, dps: int | None = None) -> t
     transform w -> -1/(w - p) with p inside the unmarked boundary gap
     between y_2N and y_1 restores an increasing finite configuration.
     Moebius moves leave all probability ratios invariant.
+
+    The four marks of `RectanglePolygon.corners` map to (-1/k, -1, 1, 1/k)
+    with no map built, when 1 < 1/k < inf; that is exactly when the map's
+    raw images are finite and increasing.
     """
     if dps is None:
+        if R.marks == _corner_marks(R.L):
+            inv_k = _inverse_k(R.L)[0]
+            if 1.0 < inv_k < math.inf:
+                return (-inv_k, -1.0, 1.0, inv_k)
         return _normalized(R, _BoundaryMap(R.L))
     import mpmath
 

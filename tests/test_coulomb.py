@@ -160,6 +160,46 @@ def test_table_computes_only_the_factors_it_gathers(npoints, factors):
     assert gathered == set(range(factors))
 
 
+@pytest.mark.parametrize("npoints, terms, keys", [(4, 15, 7), (6, 983, 184), (8, 139038, 8642)])
+def test_table_forms_one_product_per_distinct_key(npoints, terms, keys):
+    table = probability._table(npoints)
+    combos = [partition_fn.z_mgff_total(npoints)]
+    combos += [num for _, num in probability._numerators(npoints) if num is not None]
+    in_order = [key for c in combos for key in c.terms]
+    assert len(table.key_of) == len(table.coef) == len(in_order) == terms
+    assert sum(block.shape[1] for block in table.slots) == keys
+    # the keys in first-seen order, each term pointing at its own
+    distinct = list(dict.fromkeys(in_order))
+    assert len(distinct) == keys
+    assert [distinct[k] for k in table.key_of.tolist()] == in_order
+
+
+def test_combos_sharing_keys_keep_their_bits_in_both_routes():
+    # the same keys in other orders and with other coefficients, so each
+    # term must read its own key's factors in the float and the dps route
+    keys = [
+        {(1, 2): F(-1, 2), (2, 3): F(1, 2)},
+        {(1, 3): F(3), (2, 4): F(1)},
+        {(1, 2): F(1), (3, 4): F(-3, 2), (1, 4): F(1, 2)},
+        {(2, 3): F(5, 2)},
+        {},
+    ]
+    coefs = [F(2, 3), F(-1, 7), F(10, 9), F(-5, 21), F(3)]
+    combos = [
+        sum((_m(c, keys[i]) for c, i in zip(coefs, order)), MonomialCombo.zero())
+        for order in ([0, 1, 2, 3, 4], [3, 1, 4, 0], [2, 0], [4, 3, 2, 1, 0], [1])
+    ]
+    table = Compiled(combos)
+    assert len(table.key_of) == 17 and sum(b.shape[1] for b in table.slots) == 5
+    x = {1: 0.3, 2: 1.7, 3: 2.2, 4: 5.1}
+    alone = [MonomialCombo(dict(c.terms)) for c in combos]
+    assert table.sums(x) == [evaluate(c, x) for c in alone]
+    assert table.conditions(x) == [condition(c, x) for c in alone]
+    want = [evaluate(c, x, dps=50) for c in alone]
+    assert table.sums(x, dps=50) == want
+    assert all(math.isclose(w, v, rel_tol=1e-13) for w, v in zip(want, table.sums(x)))
+
+
 def test_empty_table_has_no_sums():
     x = {1: 0.3, 2: 1.7}
     assert Compiled(()).sums(x) == []

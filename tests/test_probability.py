@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -519,6 +520,41 @@ def test_corners_map_to_exact_images(L):
         image = probability._mp_boundary_map(L)
         assert (image(0.0), image(L)) == (mpmath.mpf(-1), mpmath.mpf(1))
         assert image(2.0 * L + 1.0) == -image(L + 1.0)
+
+
+def test_corner_route_returns_the_bits_of_the_map():
+    # the four corners skip the map exactly where its raw images are
+    # finite and increasing, and otherwise fail the way it does
+    Ls = [25.0 ** (j / 200) for j in range(-200, 201)] + [1e-3, 0.004, 30.0, 100.0]
+    for L in Ls:
+        R = RectanglePolygon.corners(L)
+        try:
+            want = probability._normalized(R, probability._BoundaryMap(L))
+        except ArithmeticError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                rect_boundary_to_halfplane(R)
+        else:
+            assert rect_boundary_to_halfplane(R) == want
+
+
+def test_corner_rectangle_builds_no_boundary_map(monkeypatch):
+    def refuse(L):
+        raise AssertionError("a boundary map was built")
+
+    monkeypatch.setattr(probability, "_BoundaryMap", refuse)
+    for L in (0.6, 1.0, 2.0, 2.5, 6.0):
+        assert len(rectangle_distribution(RectanglePolygon.corners(L)).probs) == 3
+    with pytest.raises(AssertionError, match="boundary map"):  # other marks still use it
+        rect_boundary_to_halfplane(_marked(2.0)[1])
+
+
+def test_corners_of_a_float32_ratio_are_those_of_its_float():
+    L32 = np.float32(0.61082166)
+    R32, R = RectanglePolygon.corners(L32), RectanglePolygon.corners(float(L32))
+    assert R32 == R and all(type(m) is float for m in (R32.L, *R32.marks))
+    assert rect_boundary_to_halfplane(R32) == rect_boundary_to_halfplane(R)
+    y = rect_boundary_to_halfplane(R32)
+    assert y[0] == -y[3]
 
 
 @pytest.mark.parametrize("L", [6.0, 8.0, 10.0, 12.0, 15.0, 20.0, 25.0])
