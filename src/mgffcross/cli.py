@@ -59,13 +59,18 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 class _Resolver:
-    """Flag value if given, else config-file value, else the default."""
+    """Flag value if given, else config-file value, else the default.
+    Each setting a command reads marks its key; `check_read` then refuses
+    a config file with any other key, such as a misspelt one."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+        self.path = getattr(args, "config", None)
+        self.cfg = _read_config(self.path) if self.path else {}
+        self.read: set[str] = set()
 
     def get(self, name: str, conv, default):
+        self.read.add(name)
         v = getattr(self.args, name, None)
         if v is not None:
             return v
@@ -74,12 +79,19 @@ class _Resolver:
         return default
 
     def get_list(self, name: str, conv, default):
+        self.read.add(name)
         v = getattr(self.args, name, None)
         if v:
             return list(v)
         if name in self.cfg:
             return [conv(t) for t in self.cfg[name].split(",") if t.strip()]
         return list(default)
+
+    def check_read(self) -> None:
+        """ValueError naming the config keys no setting has read."""
+        unread = sorted(self.cfg.keys() - self.read)
+        if unread:
+            raise ValueError(f"{self.path}: unknown setting(s) {', '.join(unread)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,6 +242,7 @@ def _cmd_simulate(args, argv: list[str]) -> int:
         chunk=r.get("chunk", int, 512),
     )
     out = r.get("out", str, "run")
+    r.check_read()
     csv_path, json_path, man_path = out + ".csv", out + ".json", out + ".manifest.json"
     man_ref = os.path.basename(man_path)
 
@@ -312,14 +325,14 @@ def _cmd_verify(args) -> int:
     from . import verify
 
     r = _Resolver(args)
-    n = r.get("n", int, 2)
-    checks = verify.run_suite(
-        args.suite,
-        npoints=2 * n,
-        seed=r.get("seed", int, 0),
-        perturb=r.get("perturb", float, 0.0),
-        configs=r.get("configs", int, 3),
-    )
+    settings = {
+        "npoints": 2 * r.get("n", int, 2),
+        "seed": r.get("seed", int, 0),
+        "perturb": r.get("perturb", float, 0.0),
+        "configs": r.get("configs", int, 3),
+    }
+    r.check_read()
+    checks = verify.run_suite(args.suite, **settings)
     failed = [c for c in checks if not c["ok"]]
     if not args.quiet:
         for c in checks:

@@ -36,9 +36,6 @@ from numbers import Rational
 
 import numpy as np
 
-# Terms of a compiled table gathered at once: bounds the temporary.
-GATHER_ROWS = 4096
-
 Pair = tuple[int, int]
 ExpKey = tuple[tuple[Pair, int], ...]
 
@@ -173,8 +170,10 @@ class Compiled:
     the product per term.  The factors some key gathers are
     d_base[f]^(e2[f]/2), each computed by one `pow` per evaluation, all in
     one array call, whose bits are those of this numpy build's
-    `np.power`; slots holds, pair-major in blocks of GATHER_ROWS keys in
-    first-seen order, which factor each key takes in each pair.  A pair a
+    `np.power`; slots, a (pairs x keys) array with the keys in first-seen
+    order, holds which factor each key takes in each pair.  The largest
+    table the capacity caps allow, 8 points, gathers 28 x 8,642 factors,
+    1.9 MB, at once.  A pair a
     combo lacks has e2 = 0 and gathers d^0 = 1.0, an exact factor, so a
     combo's sums keep their bits in any table that holds it; one combo is
     the one-span case.  The `dps` route reads each term's factor row
@@ -210,32 +209,26 @@ class Compiled:
             (first.setdefault(key, len(first)) for t in terms for key in t), np.intp
         )
         keys = list(first)
-        blocks = []
-        for i in range(0, len(keys), GATHER_ROWS):
-            chunk = keys[i : i + GATHER_ROWS]
-            e2 = np.zeros((len(self.pairs), len(chunk)), dtype=np.int64)
-            e2.ravel()[[col[p] * len(chunk) + r for r, key in enumerate(chunk) for p, _ in key]] = [
-                e for key in chunk for _, e in key
-            ]
-            blocks.append(e2)
-        low = min((int(b.min(initial=0)) for b in blocks), default=0)
-        width = max((int(b.max(initial=0)) for b in blocks), default=0) - low + 1
+        e2 = np.zeros((len(self.pairs), len(keys)), dtype=np.int64)
+        e2.ravel()[[col[p] * len(keys) + r for r, key in enumerate(keys) for p, _ in key]] = [
+            e for key in keys for _, e in key
+        ]
+        low = int(e2.min(initial=0))
+        width = int(e2.max(initial=0)) - low + 1
         # the largest sum of |e2| over a term's pairs
-        degree = max((int(np.abs(b).sum(axis=0).max(initial=0)) for b in blocks), default=0)
+        degree = int(np.abs(e2).sum(axis=0).max(initial=0))
         # code each (pair, e2) factor as pair * width + e2 - low, mark the
         # codes that occur, and point the slots at the used ones in order
-        shift = width * np.arange(len(self.pairs))[:, None] - low
+        e2 += width * np.arange(len(self.pairs))[:, None] - low
         seen = np.zeros(len(self.pairs) * width, dtype=bool)
-        for e2 in blocks:
-            e2 += shift
-            seen[e2] = True
+        seen[e2] = True
         used = np.flatnonzero(seen)
         self.base = used // width
         self.e2 = used % width + low
         self.power = self.e2 / 2
         # half-integer powers: a pair with any odd exponent
         self.odd = tuple(sorted(set(self.base[self.e2 % 2 == 1].tolist())))
-        self.slots = tuple(np.searchsorted(used, e2) for e2 in blocks)
+        self.slots = np.searchsorted(used, e2)
         self.exact = tuple(c for t in terms for c in t.values())
         self.coef = np.fromiter(map(float, self.exact), float, len(self.exact))
         # with every difference in [2^-r, 2^r], a table entry or partial
@@ -280,14 +273,8 @@ class Compiled:
     def _products(self, d: np.ndarray) -> np.ndarray:
         pw = np.power(d[self.base], self.power)
         # each key multiplies its factors in pair order, so equal combos
-        # give equal bits; a block at a time keeps the temporary small
-        if len(self.slots) == 1:
-            products = np.multiply.reduce(pw[self.slots[0]])
-        else:
-            products = np.empty(sum(block.shape[1] for block in self.slots))
-            for i, block in zip(range(0, len(products), GATHER_ROWS), self.slots):
-                np.multiply.reduce(pw[block], axis=0, out=products[i : i + GATHER_ROWS])
-        terms = products[self.key_of]
+        # give equal bits
+        terms = np.multiply.reduce(pw[self.slots])[self.key_of]
         terms *= self.coef
         return terms
 
@@ -335,7 +322,7 @@ class Compiled:
                 for j, e2 in zip(self.base.tolist(), self.e2.tolist())
             ]
             sums = []
-            rows = [row for block in self.slots for row in block.T.tolist()]
+            rows = self.slots.T.tolist()
             key_of = self.key_of.tolist()
             for a, b in self.spans:
                 terms = []

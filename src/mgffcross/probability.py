@@ -25,18 +25,22 @@ finiteness is read from `math.isfinite` or a sum, never from `min` or
 For a rectangle with alternating-sign boundary arcs the marked points
 are carried to the real line by the elliptic map of the rectangle onto
 the upper half plane, z -> sn(2K(z - L/2)/L, k) with K(k')/K(k) = 2/L.
-Its boundary values sn and 1/dn, and the corner cross-ratio
-q(L) = lambda(iL), are theta-series quotients (DLMF 20.2, 22.2, 23.15).
-Jacobi's imaginary transformation keeps every nome at most e^(-pi), so
-five terms reach full float precision at any ratio; with `dps` set the
-same quotients run through `mpmath.jtheta`.  A mark at a corner skips
-the series: sn(-+K) = -+1 and sn(+-K + iK') = +-1/k, with 1/k a quotient
-of theta constants computed once, by `_inverse_k`, and y_2, at the
-origin, is exactly -1.  The four marks of `RectanglePolygon.corners`
-build no map at all: in float they go straight to (-1/k, -1, 1, 1/k)
-whenever 1 < 1/k < inf, which is exactly when the map's raw images are
-finite and increasing, and otherwise take the map's route and fail as
-it does.  Nothing here imports scipy.
+Its boundary values sn and 1/dn are theta-series quotients (DLMF 20.2,
+22.2), computed by one routine, `_mp_boundary_map`, through
+`mpmath.jtheta`: at `dps` digits when `dps` is set, and otherwise at
+`_MAP_DPS` digits with each raw image rounded once to float before the
+Moebius step.  A mark at a corner skips the series: sn(-+K) = -+1 and
+sn(+-K + iK') = +-1/k, and y_2, at the origin, is exactly -1.  The four
+marks of `RectanglePolygon.corners` need no map at all: in float they go
+straight to (-1/k, -1, 1, 1/k), with 1/k a float quotient of theta
+constants (`_inverse_k`), whenever 1 < 1/k < inf, which is exactly when
+the rounded map's raw images are finite and increasing (checked over 405
+ratios from 1e-3 to 100); otherwise they take the map's route and fail
+as it does.  The corner cross-ratio q(L) = lambda(iL) is a float theta
+quotient too (DLMF 23.15).  So corner rectangles run in float alone,
+while a float rectangle with other marks costs an mpmath evaluation of
+about a millisecond.  Nothing here imports scipy, and only the map
+imports mpmath.
 
 The cluster dictionary at the end maps a pair of arc partitions
 (which positive arcs are wired together, which negative arcs) to the
@@ -260,7 +264,9 @@ def cross_ratio_rectangle(L: float) -> float:
 # a series term at most e^(-_CUT) = 2^-60 times its leading term is dropped
 _CUT = 60.0 * math.log(2.0)
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
-_HALF_PI = 0.5 * math.pi
+# decimal digits at which the mpmath map computes a float image before
+# rounding it once
+_MAP_DPS = 30
 
 
 def _split(a: float) -> tuple[float, float]:
@@ -270,218 +276,70 @@ def _split(a: float) -> tuple[float, float]:
     return hi, a - hi
 
 
-def _times_exp(x: float, e: float) -> float:
-    """x * e^e; infinite, with the sign of x, where that leaves float range."""
-    try:
-        return x * math.exp(e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
 def _corner_marks(L: float) -> tuple[float, float, float, float]:
     """Arc lengths of the corners (0, 1), (0, 0), (L, 0) and (L, 1): the
     marks of `RectanglePolygon.corners`, whose images are -1/k, -1, 1, 1/k."""
     return (2.0 * L + 1.0, 0.0, L, L + 1.0)
 
 
-def _orders(pa: float) -> tuple[range, range]:
-    """The n of the series terms kept at the nome e^(-pa), smallest terms
-    first: q^(n(n+1)) for n <= 4 while q^(n^2) counts, and q^(n^2) for
-    1 <= n <= 5 while q^(n(n-1)), the most a q^(n^2) cosh(2ny) term
-    reaches, counts."""
-    cut = _CUT / pa
-    odd = range(min(4, int(math.sqrt(cut))), -1, -1)
-    return odd, range(min(5, int(0.5 + math.sqrt(0.25 + cut))), 0, -1)
-
-
-def _inverse_k(L: float) -> tuple:
-    """1/k of the map of `_BoundaryMap` at ratio L, with what that map
-    shares of its computation: (1/k, pa, c, narrow).  The nome is
-    e^(-pa), pa = pi max(2/L, L/2).  For L > 2, c = th3/th4 and 1/k = c^2
-    = 1 + (th3 - th4)(th3 + th4)/th4^2, rounded once, with th3 - th4 =
-    4(q + q^9 + ...) free of cancellation: the corner gap 1/k - 1 ~ 8q is
-    all that sets q(L) at large L; narrow is None.  For L <= 2, c = th3/th2
-    with the factor 2 q^(1/4) of th2 taken out, 1/k = c * top with top =
-    (c/4) e^(pi/L), and narrow = (ph, ph_split, pl, top), where pi/L = ph +
-    pl to twice float precision and ph_split is ph in `_split` halves."""
+def _inverse_k(L: float) -> float:
+    """1/k of the map of `_mp_boundary_map` at ratio L, in float, from
+    theta constants at the nome q = e^(-pa), pa = pi max(2/L, L/2), which
+    Jacobi's imaginary transformation keeps at most e^(-pi).  The series
+    run smallest terms first and stop past 2^-60 of their leading term.
+    For L > 2, 1/k = th3^2/th4^2 = 1 + (th3 - th4)(th3 + th4)/th4^2,
+    rounded once, with th3 - th4 = 4(q + q^9 + ...) free of cancellation:
+    the corner gap 1/k - 1 ~ 8q is all that sets q(L) at large L.  For
+    L <= 2, 1/k = (c^2/4) e^(pi/L) with c = th3/th2 and the factor
+    2 q^(1/4) of th2 taken out; the exponent pi/L = ph + pl is carried to
+    twice float precision (a Veltkamp split), since the result is as
+    accurate as its exponent is absolutely and pi/L reaches 3e3 at
+    L = 1e-3.  Infinite where 1/k leaves float range, below L = 0.0044."""
     wide = L > 2.0
     pa = math.pi * (0.5 * L if wide else 2.0 / L)
-    odd_n, even_n = _orders(pa)
+    cut = _CUT / pa
     exp = math.exp
+    even_n = range(min(5, int(0.5 + math.sqrt(0.25 + cut))), 0, -1)
     even = [2.0 * exp(-pa * n * n) for n in even_n]
     th3 = 1.0 + sum(even)
     if wide:
         even4 = [-e if n & 1 else e for n, e in zip(even_n, even)]
         th4 = 1.0 + sum(even4)
         d = sum([e - e4 for e, e4 in zip(even, even4)])
-        return 1.0 + d * (th3 + th4) / (th4 * th4), pa, th3 / th4, None
-    c = th3 / sum([exp(-(pa * n * (n + 1) if n else 0.0)) for n in odd_n])
-    # e^(pi v/L) is as accurate as its exponent is absolutely, and pi/L
-    # reaches 3e3 at L = 1e-3
+        return 1.0 + d * (th3 + th4) / (th4 * th4)
+    odd = range(min(4, int(math.sqrt(cut))), -1, -1)
+    c = th3 / sum([exp(-(pa * n * (n + 1) if n else 0.0)) for n in odd])
     ph = math.pi / L
-    ph_split = (ph, 0.0) if ph > 1e300 else _split(ph)
-    (ah, al), (bh, bl) = ph_split, _split(L)
+    (ah, al), (bh, bl) = ((ph, 0.0) if ph > 1e300 else _split(ph)), _split(L)
     err = ((ah * bh - ph * L) + ah * bl + al * bh) + al * bl  # ph L - fl(ph L)
     pl = (((math.pi - ph * L) - err) + _PI_LO) / L
-    # 1/(k sn) = (c/4) e^(pi/L) th4/th1 on the top edge
-    top = _times_exp(0.25 * c * (1.0 + pl), ph)
-    return c * top, pa, c, (ph, ph_split, pl, top)
-
-
-class _BoundaryMap:
-    """Arc length on the boundary of [0, L] x [0, 1] -> real image under
-    z -> sn(2K(z - L/2)/L, k), the map onto the upper half plane with
-    K'/K = 2/L, as theta quotients (DLMF 22.2).
-
-    With t = x - L/2 on the bottom and top edges and v the height on the
-    sides, the images are sn(2Kt/L, k) = (th3/th2) th1(pi t/L)/th4(pi t/L)
-    at the nome e^(-2 pi/L), its top-edge counterpart 1/(k sn(2Kt/L, k)),
-    and +-1/dn(K'v, k') = +-(th3/th4) th4(pi v/2)/th3(pi v/2) at the nome
-    e^(-pi L/2).  Whichever nome exceeds e^(-pi) moves to the other by
-    Jacobi's imaginary transformation (DLMF 20.7.30, 22.6.iv), so every
-    series runs at q = e^(-pa), pa = pi max(2/L, L/2) >= pi.  The moved
-    series take imaginary arguments iy, 0 <= y <= pa/2: sums of
-    q^(n(n+1)) sinh or cosh((2n+1)y) and of q^(n^2) cosh(2ny).  Each such
-    term is one exp of its summed exponent less the leading term's, so no
-    term overflows at any L; the leading factor e^y multiplies the
-    quotient last and is infinite only where the image leaves float
-    range.  The nome powers and the corners' arc lengths are computed once
-    per rectangle, and the two series an image divides run in one call
-    (th1 and th4, th3 and th4 over one cosine per term, or th2 and th3 at
-    iy), each summed in the same order as on its own.
-
-    A mark at a corner's arc length, 0, L, L + 1 or 2L + 1 as
-    `_corner_marks` writes them, maps to its exact image -1, 1, 1/k or
-    -1/k without a series, 1/k and the constants c and top coming from
-    `_inverse_k`.
-    """
-
-    __slots__ = (
-        "L", "per", "up", "back", "wide", "c", "odd", "even", "ph", "pl", "ph_split", "top",
-        "corners",
-    )
-
-    def __init__(self, L: float):
-        self.L = L
-        marks = _corner_marks(L)
-        # arc lengths of the corners (0, 1) and (L, 1) and of the whole walk
-        self.back, _, _, self.up = marks
-        self.per = 2.0 * L + 2.0
-        inv_k, pa, self.c, narrow = _inverse_k(L)
-        self.corners = dict(zip(marks, (-inv_k, -1.0, 1.0, inv_k)))
-        self.wide = narrow is None
-        if narrow:
-            self.ph, self.ph_split, self.pl, self.top = narrow
-        # smallest terms first: (2n, -log q^(n(n+1)), (-1)^n, (-1)^n q^(n(n+1)))
-        # and (2n, -log q^(n^2), 2 q^(n^2), 2 (-1)^n q^(n^2))
-        odd_n, even_n = _orders(pa)
-        exp = math.exp
-        self.odd = odd = []
-        for n in odd_n:
-            a, sign = pa * n * (n + 1) if n else 0.0, -1.0 if n & 1 else 1.0
-            odd.append((2 * n, a, sign, sign * exp(-a)))
-        self.even = even = []
-        for n in even_n:
-            b = pa * n * n
-            e = 2.0 * exp(-b)
-            even.append((2 * n, b, e, -e if n & 1 else e))
-
-    def _th14(self, z: float) -> tuple[float, float]:
-        """th1(z) / (2 q^(1/4)) and th4(z)."""
-        sin, cos, th1, th4 = math.sin, math.cos, 0.0, 1.0
-        for n2, _, _, o in self.odd:
-            th1 += o * sin((n2 + 1) * z)
-        for n2, _, _, e in self.even:
-            th4 += e * cos(n2 * z)
-        return th1, th4
-
-    def _th34(self, z: float) -> tuple[float, float]:
-        """th3(z) and th4(z), one cosine per term."""
-        cos, th3, th4 = math.cos, 1.0, 1.0
-        for n2, _, e3, e4 in self.even:
-            c = cos(n2 * z)
-            th3 += e3 * c
-            th4 += e4 * c
-        return th3, th4
-
-    def _sh_ch(self, y: float) -> tuple[float, float]:
-        """2 e^(-y) th1(iy) / (2i q^(1/4)) and 2 e^(-y) th2(iy) / (2 q^(1/4)), y >= 0."""
-        exp, expm1, sh, ch = math.exp, math.expm1, 0.0, 0.0
-        for n2, a, sign, _ in self.odd:
-            g, x = exp(n2 * y - a), expm1(-(2 * n2 + 2) * y)
-            sh -= sign * g * x
-            ch += g * (2.0 + x)
-        return sh, ch
-
-    def _ch_ch3(self, y: float) -> tuple[float, float]:
-        """The second value of `_sh_ch`, and th3(iy) for 0 <= y <= pa/2."""
-        exp, expm1, ch, ch3 = math.exp, math.expm1, 0.0, 1.0
-        for n2, a, _, _ in self.odd:
-            ch += exp(n2 * y - a) * (2.0 + expm1(-(2 * n2 + 2) * y))
-        for n2, b, _, _ in self.even:
-            ch3 += exp(n2 * y - b) * (1.0 + exp(-2 * n2 * y))
-        return ch, ch3
-
-    def _side(self, parts: tuple[float, ...]) -> float:
-        """1/dn(K'v, k') for L <= 2 and v = sum(parts) in [0, 1]: c e^y
-        th2(iy)/th3(iy) with y = pi v/L, or for v > 1/2, through
-        dn(K' - u, k') = k/dn(u, k'), c e^y th3(iy')/th2(iy') with
-        y' = pi (1 - v)/L, so that no series term nears its leader."""
-        fsum, ph = math.fsum, self.ph
-        vh = fsum(parts)
-        yh = ph * vh
-        if yh > 710.0:  # e^y alone leaves float range
-            return math.inf
-        if vh <= 0.5:
-            ch, ch3 = self._ch_ch3(yh)
-            ratio = 0.5 * ch / ch3
-        else:
-            ch, ch3 = self._ch_ch3(-ph * fsum((*parts, -1.0)))  # at y'
-            ratio = 0.5 * ch3 / ch
-        # e^(pi v/L) = e^yh (1 + yl), yl = pi v/L - yh
-        (ah, al), (bh, bl) = self.ph_split, _split(vh)
-        yl = ((ah * bh - yh) + ah * bl + al * bh) + al * bl
-        yl += ph * fsum((*parts, -vh)) + self.pl * vh
-        return _times_exp(self.c * ratio * (1.0 + yl), yh)
-
-    def __call__(self, s: float) -> float:
-        """Image of the boundary point at arc length s; +inf at the top
-        edge midpoint, where the map wraps through infinity."""
-        s = s % self.per
-        w = self.corners.get(s)
-        if w is not None:
-            return w
-        L, up = self.L, self.up
-        if L < s <= up or s > self.back:  # sides
-            right = s <= up
-            parts = (s, -L) if right else (L, L, 2.0, -s)
-            if self.wide:
-                z = _HALF_PI * math.fsum(parts)
-                th3, th4 = self._th34(z)
-                w = self.c * th4 / th3
-            else:
-                w = self._side(parts)
-            return w if right else -w
-        top = s > L
-        # x - L/2 with x = 2L + 1 - s on the top edge, rounded once: near
-        # the midpoint the image is about 1/t
-        t = math.fsum((L, 0.5 * L, 1.0, -s)) if top else s - 0.5 * L
-        if self.wide:
-            sh, ch = self._sh_ch(_HALF_PI * abs(t))
-            if top:
-                return math.copysign(self.c * ch / sh, t) if sh else math.inf
-            return math.copysign(self.c * sh / ch, t)
-        z = math.pi * t / L
-        th1, th4 = self._th14(z)
-        if top:
-            return self.top * th4 / th1 if th1 else math.inf
-        return self.c * th1 / th4
+    try:
+        return c * (0.25 * c * (1.0 + pl) * exp(ph))
+    except OverflowError:
+        return math.inf
 
 
 def _mp_boundary_map(L: float):
-    """`_BoundaryMap` in mpmath at the working precision: the same
-    quotients through `mpmath.jtheta` at the same nome, and the same
-    exact corner images."""
+    """Arc length on the boundary of [0, L] x [0, 1] -> real image under
+    z -> sn(2K(z - L/2)/L, k), the map onto the upper half plane with
+    K'/K = 2/L, as theta quotients (DLMF 22.2) through `mpmath.jtheta`
+    at the working precision.
+
+    With t = x - L/2 on the bottom and top edges and v the height on the
+    sides, the bottom edge maps to sn(2Kt/L, k) and the top edge to
+    1/(k sn(2Kt/L, k)), with x = 2L + 1 - s there, and the right and left
+    sides to +-1/dn(K'v, k').  For L <= 2 these run at the nome
+    q = e^(-2 pi/L): sn = c th1(pi t/L)/th4(pi t/L) and 1/dn =
+    c th2(i pi v/L)/th3(i pi v/L), with c = th3/th2, or past v = 1/2,
+    when q is below the working epsilon, dn(K'(1 - v), k')/k =
+    c th3(i pi (1 - v)/L)/th2(i pi (1 - v)/L).  For L > 2 they run
+    at q = e^(-pi L/2), after Jacobi's imaginary transformation (DLMF
+    20.7.30, 22.6.iv): sn = c th1(i pi t/2)/(i th2(i pi t/2)) and 1/dn =
+    c th4(pi v/2)/th3(pi v/2), with c = th3/th4.  Either way c^2 = 1/k
+    and q <= e^(-pi).  A mark at a corner's arc length, as `_corner_marks`
+    writes it, maps to its exact image -1/k, -1, 1 or 1/k without a
+    series.  The images are mpf: the bottom edge midpoint maps to 0 and
+    the top edge midpoint, where the map wraps through infinity, to +inf."""
     import mpmath
     from mpmath import jtheta, mpf, pi
 
@@ -502,6 +360,13 @@ def _mp_boundary_map(L: float):
             v = s - L if right else 2 * L + 2 - s
             if wide:
                 w = c * jtheta(4, pi * v / 2, q) / jtheta(3, pi * v / 2, q)
+            elif v > 0.5 and q < mpmath.eps:
+                # jtheta sums th3(iy) while q^(n^2) exceeds its working
+                # epsilon, whatever cosh(2ny) adds, but q cosh(2y) nears 1
+                # as v does: take dn(K'(1 - v), k')/k, whose terms all stay
+                # below sqrt(q) of the leading one
+                y = mpmath.mpc(0, pi * (1 - v) / L)
+                w = c * (jtheta(3, y, q) / jtheta(2, y, q)).real
             else:
                 y = mpmath.mpc(0, pi * v / L)
                 w = c * (jtheta(2, y, q) / jtheta(3, y, q)).real
@@ -511,8 +376,10 @@ def _mp_boundary_map(L: float):
         if wide:
             y = mpmath.mpc(0, pi * t / 2)
             sn = c * (jtheta(1, y, q) / jtheta(2, y, q)).imag
-        else:
+        elif t:
             sn = c * jtheta(1, pi * t / L, q) / jtheta(4, pi * t / L, q)
+        else:  # an edge midpoint: jtheta(1, 0, q) is rounding noise, not 0
+            sn = mpf(0)
         if top:
             return c * c / sn if sn else mpmath.inf
         return sn
@@ -531,20 +398,26 @@ def rect_boundary_to_halfplane(R: RectanglePolygon, dps: int | None = None) -> t
     between y_2N and y_1 restores an increasing finite configuration.
     Moebius moves leave all probability ratios invariant.
 
-    The four marks of `RectanglePolygon.corners` map to (-1/k, -1, 1, 1/k)
-    with no map built, when 1 < 1/k < inf; that is exactly when the map's
-    raw images are finite and increasing.
+    In float, the four marks of `RectanglePolygon.corners` map to
+    (-1/k, -1, 1, 1/k), 1/k from `_inverse_k`, with no mpmath, when
+    1 < 1/k < inf: exactly when the map's rounded raw images are finite
+    and increasing.  Every other float input takes `_mp_boundary_map` at
+    _MAP_DPS digits and rounds each raw image to float before the Moebius
+    step, so an image beyond float range is infinite there and moved like
+    any other.
     """
-    if dps is None:
-        if R.marks == _corner_marks(R.L):
-            inv_k = _inverse_k(R.L)[0]
-            if 1.0 < inv_k < math.inf:
-                return (-inv_k, -1.0, 1.0, inv_k)
-        return _normalized(R, _BoundaryMap(R.L))
+    if dps is None and R.marks == _corner_marks(R.L):
+        inv_k = _inverse_k(R.L)
+        if 1.0 < inv_k < math.inf:
+            return (-inv_k, -1.0, 1.0, inv_k)
     import mpmath
 
-    with mpmath.workdps(dps):
-        return _normalized(R, _mp_boundary_map(R.L))
+    if dps is not None:
+        with mpmath.workdps(dps):
+            return _normalized(R, _mp_boundary_map(R.L))
+    with mpmath.workdps(_MAP_DPS):  # float(s): mpf refuses a numpy float32
+        image = _mp_boundary_map(float(R.L))
+        return _normalized(R, lambda s: float(image(float(s))))
 
 
 def _normalized(R: RectanglePolygon, image) -> tuple:

@@ -305,6 +305,25 @@ def test_simulate_config_file_and_override(tmp_path, capsys):
     assert rep["meshes"][0]["ny"] == 4
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("simulate", "--mesh", "4", "--threads", "1"), "trails = 5"),
+        (("verify", "--suite", "bounds", "1"), "sead = 3"),
+    ],
+)
+def test_config_file_refuses_a_key_no_setting_reads(tmp_path, monkeypatch, capsys, argv, line):
+    # a misspelt key would otherwise run with the default: refused before
+    # any trial runs, any check prints or any file is written
+    monkeypatch.chdir(tmp_path)  # where simulate's default outputs would go
+    cfg = tmp_path / "settings.cfg"
+    cfg.write_text(f"seed = 4\n{line}\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    key = line.split()[0]
+    assert code == 2 and "usage" in err and key in err and "seed" not in err
+    assert out == "" and list(tmp_path.iterdir()) == [cfg]
+
+
 def test_simulate_usage_errors(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "simulate", "--mesh", "2/3")
     assert code == 2
@@ -444,12 +463,13 @@ def test_simulate_imports_no_sparse_graph_code():
 
 
 def test_prob_imports_no_scipy():
-    # scipy.special alone cost 0.3 s of a 0.49-s `import mgffcross`
+    # scipy.special alone cost 0.3 s of a 0.49-s `import mgffcross`; a
+    # corner rectangle runs in float alone, so mpmath stays out too
     src = os.path.dirname(os.path.dirname(mgffcross.__file__))
     code = (
         "import sys, mgffcross; from mgffcross import cli; "
         "code = cli.main(['prob', '--rectangle', '2']); "
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,

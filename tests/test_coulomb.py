@@ -156,7 +156,7 @@ def test_table_computes_only_the_factors_it_gathers(npoints, factors):
             if len(key) < len(col):
                 want.update((col[pair], 0) for pair in col.keys() - dict(key).keys())
     assert sorted(zip(table.base.tolist(), table.e2.tolist())) == sorted(want)
-    gathered = set().union(*(np.unique(block).tolist() for block in table.slots))
+    gathered = set(np.unique(table.slots).tolist())
     assert gathered == set(range(factors))
 
 
@@ -167,7 +167,7 @@ def test_table_forms_one_product_per_distinct_key(npoints, terms, keys):
     combos += [num for _, num in probability._numerators(npoints) if num is not None]
     in_order = [key for c in combos for key in c.terms]
     assert len(table.key_of) == len(table.coef) == len(in_order) == terms
-    assert sum(block.shape[1] for block in table.slots) == keys
+    assert table.slots.shape == (len(table.pairs), keys)
     # the keys in first-seen order, each term pointing at its own
     distinct = list(dict.fromkeys(in_order))
     assert len(distinct) == keys
@@ -190,7 +190,7 @@ def test_combos_sharing_keys_keep_their_bits_in_both_routes():
         for order in ([0, 1, 2, 3, 4], [3, 1, 4, 0], [2, 0], [4, 3, 2, 1, 0], [1])
     ]
     table = Compiled(combos)
-    assert len(table.key_of) == 17 and sum(b.shape[1] for b in table.slots) == 5
+    assert len(table.key_of) == 17 and table.slots.shape == (len(table.pairs), 5)
     x = {1: 0.3, 2: 1.7, 3: 2.2, 4: 5.1}
     alone = [MonomialCombo(dict(c.terms)) for c in combos]
     assert table.sums(x) == [evaluate(c, x) for c in alone]

@@ -490,6 +490,19 @@ def _ellipfun_images(R, dps=100):
         return out
 
 
+def _float_image(L):
+    """The float route's image of a mark: the mpmath map at the route's
+    working precision, rounded once."""
+    with mpmath.workdps(probability._MAP_DPS):
+        image = probability._mp_boundary_map(L)
+
+    def rounded(s):
+        with mpmath.workdps(probability._MAP_DPS):
+            return float(image(s))
+
+    return rounded
+
+
 def _marked(L):
     """The corners, and six marks on every edge: y_1 on the left, y_2 at
     the origin, two on the bottom, one on the right and one on the top,
@@ -504,16 +517,34 @@ def _marked(L):
     + [math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0), 1.999, 2.001],
 )
 def test_halfplane_images_against_ellipfun(L):
+    image = _float_image(L)
     for R in _marked(L):
-        image = probability._BoundaryMap(L)
         for s, want in zip(R.marks, _ellipfun_images(R)):
-            assert image(s) == pytest.approx(float(want), rel=1e-14, abs=1e-17)
+            assert abs(image(s) - float(want)) <= math.ulp(float(want))
+
+
+@pytest.mark.parametrize("L", [1 / 64, 1 / 32])
+def test_thin_rectangle_images_near_the_top_corners(L):
+    # q = e^(-2 pi/L) lies below the epsilon of dps 30, so the side
+    # quotient th2(iy)/th3(iy) would lose th3's q cosh(2y) term, which
+    # nears 1 at the top corners; the edge midpoints map to 0 and inf
+    R = RectanglePolygon(L, (2 * L + 1.99, 0.0, L + 0.6, L + 0.9, L + 0.99, 1.3 * L + 1.0))
+    want = _ellipfun_images(R, 250)
+    rounded = _float_image(L)
+    for s, w in zip(R.marks, want):
+        assert abs(rounded(s) - float(w)) <= math.ulp(float(w))
+    assert (rounded(0.5 * L), rounded(1.5 * L + 1.0)) == (0.0, math.inf)
+    with mpmath.workdps(30):
+        image = probability._mp_boundary_map(L)
+        for s, w in zip(R.marks, want):
+            assert abs(image(s) - w) <= 1e-25 * abs(w)
+        assert (image(0.5 * L), image(1.5 * L + 1.0)) == (0, mpmath.inf)
 
 
 @pytest.mark.parametrize("L", [25.0 ** (j / 6) for j in range(-6, 7)])
 def test_corners_map_to_exact_images(L):
     # -1 and 1 exactly; +-1/k from one quotient, checked against ellipfun above
-    image = probability._BoundaryMap(L)
+    image = _float_image(L)
     assert (image(0.0), image(L)) == (-1.0, 1.0)
     assert image(2.0 * L + 1.0) == -image(L + 1.0)
     with mpmath.workdps(30):
@@ -522,26 +553,36 @@ def test_corners_map_to_exact_images(L):
         assert image(2.0 * L + 1.0) == -image(L + 1.0)
 
 
-def test_corner_route_returns_the_bits_of_the_map():
-    # the four corners skip the map exactly where its raw images are
-    # finite and increasing, and otherwise fail the way it does
+def test_corner_route_agrees_with_the_rounded_map():
+    # the four corners skip the map exactly where its rounded raw images
+    # are finite and increasing, agree with them there to 4 ulp (1/k comes
+    # from float theta constants), and otherwise fail the way the map does
     Ls = [25.0 ** (j / 200) for j in range(-200, 201)] + [1e-3, 0.004, 30.0, 100.0]
+    failed = []
     for L in Ls:
         R = RectanglePolygon.corners(L)
+        inv_k = probability._inverse_k(L)
         try:
-            want = probability._normalized(R, probability._BoundaryMap(L))
+            want = probability._normalized(R, _float_image(L))
         except ArithmeticError as exc:
+            failed.append(L)
+            assert not 1.0 < inv_k < math.inf
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 rect_boundary_to_halfplane(R)
         else:
-            assert rect_boundary_to_halfplane(R) == want
+            assert 1.0 < inv_k < math.inf
+            got = rect_boundary_to_halfplane(R)
+            assert got[1:3] == want[1:3] == (-1.0, 1.0)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 4 * math.ulp(w)
+    assert failed == [25.0, 1e-3, 0.004, 30.0, 100.0]
 
 
 def test_corner_rectangle_builds_no_boundary_map(monkeypatch):
     def refuse(L):
         raise AssertionError("a boundary map was built")
 
-    monkeypatch.setattr(probability, "_BoundaryMap", refuse)
+    monkeypatch.setattr(probability, "_mp_boundary_map", refuse)
     for L in (0.6, 1.0, 2.0, 2.5, 6.0):
         assert len(rectangle_distribution(RectanglePolygon.corners(L)).probs) == 3
     with pytest.raises(AssertionError, match="boundary map"):  # other marks still use it
@@ -555,6 +596,10 @@ def test_corners_of_a_float32_ratio_are_those_of_its_float():
     assert rect_boundary_to_halfplane(R32) == rect_boundary_to_halfplane(R)
     y = rect_boundary_to_halfplane(R32)
     assert y[0] == -y[3]
+    six = (5.5, 0.0, 1.0, 2.0, 2.5, 4.0)  # the float route through mpmath
+    want = rect_boundary_to_halfplane(RectanglePolygon(2.0, six))
+    assert rect_boundary_to_halfplane(RectanglePolygon(np.float32(2.0), six)) == want
+    assert rect_boundary_to_halfplane(RectanglePolygon(2.0, tuple(map(np.float32, six)))) == want
 
 
 @pytest.mark.parametrize("L", [6.0, 8.0, 10.0, 12.0, 15.0, 20.0, 25.0])
@@ -563,7 +608,7 @@ def test_long_rectangle_top_corner_is_the_nearest_float_to_one_over_k(L):
     # with every ulp of 1/k
     with mpmath.workdps(50):
         inv_k = float(1 / mpmath.kfrom(q=mpmath.exp(-2 * mpmath.pi / L)))
-    assert probability._BoundaryMap(L)(L + 1.0) == inv_k
+    assert probability._inverse_k(L) == inv_k
 
 
 @pytest.mark.parametrize("L", [0.6, 1.0, 2.0, 6.0])
@@ -589,7 +634,7 @@ def test_halfplane_images_stay_finite_at_extreme_ratios(L):
     v = min(0.2, 0.2 * L)
     marks = [0.0, 0.3 * L, 0.8 * L, L + v, 2 * L + 2 - v, 2 * L + 2 - v / 2]
     top = [L + 1.0, 1.3 * L + 1.0, 2.0 * L + 1.0]
-    image = probability._BoundaryMap(L)
+    image = _float_image(L)
     for s in marks + top:
         w = image(s)
         assert isinstance(w, float) and not math.isnan(w)
