@@ -30,17 +30,17 @@ Its boundary values sn and 1/dn are theta-series quotients (DLMF 20.2,
 `mpmath.jtheta`: at `dps` digits when `dps` is set, and otherwise at
 `_MAP_DPS` digits with each raw image rounded once to float before the
 Moebius step.  A mark at a corner skips the series: sn(-+K) = -+1 and
-sn(+-K + iK') = +-1/k, and y_2, at the origin, is exactly -1.  The four
-marks of `RectanglePolygon.corners` need no map at all: in float they go
-straight to (-1/k, -1, 1, 1/k), with 1/k a float quotient of theta
-constants (`_inverse_k`), whenever 1 < 1/k < inf, which is exactly when
-the rounded map's raw images are finite and increasing (checked over 405
-ratios from 1e-3 to 100); otherwise they take the map's route and fail
-as it does.  The corner cross-ratio q(L) = lambda(iL) is a float theta
-quotient too (DLMF 23.15).  So corner rectangles run in float alone,
-while a float rectangle with other marks costs an mpmath evaluation of
-about a millisecond.  Nothing here imports scipy, and only the map
-imports mpmath.
+sn(+-K + iK') = +-1/k, and y_2, at the origin, is exactly -1.  The
+corner cross-ratio q(L) = lambda(iL) is a float theta quotient (DLMF
+23.15), and it is all the four marks of `RectanglePolygon.corners` need:
+in float they go to the Moebius frame (0, eps, 1, 2), eps = 2q/(1 + q),
+whose cross ratio is q and whose small gap eps sits exactly at 0, so
+q^4 at a long rectangle keeps the relative accuracy of q.  The frame is
+refused where eps rounds onto 1 (L below about 0.08) or q^4 falls below
+the normal float range (L above about 57).  So corner rectangles run in
+float alone, while a float rectangle with other marks costs an mpmath
+evaluation of about a millisecond.  Nothing here imports scipy, and only
+the map imports mpmath.
 
 The cluster dictionary at the end maps a pair of arc partitions
 (which positive arcs are wired together, which negative arcs) to the
@@ -55,6 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -261,62 +262,15 @@ def cross_ratio_rectangle(L: float) -> float:
     return (t2 if L >= 1.0 else t4) / (t2 + t4)
 
 
-# a series term at most e^(-_CUT) = 2^-60 times its leading term is dropped
-_CUT = 60.0 * math.log(2.0)
-_PI_LO = 1.2246467991473532e-16  # pi - math.pi
 # decimal digits at which the mpmath map computes a float image before
 # rounding it once
 _MAP_DPS = 30
-
-
-def _split(a: float) -> tuple[float, float]:
-    """a = hi + lo with hi holding 26 bits (Veltkamp): products of halves are exact."""
-    c = 134217729.0 * a
-    hi = c - (c - a)
-    return hi, a - hi
 
 
 def _corner_marks(L: float) -> tuple[float, float, float, float]:
     """Arc lengths of the corners (0, 1), (0, 0), (L, 0) and (L, 1): the
     marks of `RectanglePolygon.corners`, whose images are -1/k, -1, 1, 1/k."""
     return (2.0 * L + 1.0, 0.0, L, L + 1.0)
-
-
-def _inverse_k(L: float) -> float:
-    """1/k of the map of `_mp_boundary_map` at ratio L, in float, from
-    theta constants at the nome q = e^(-pa), pa = pi max(2/L, L/2), which
-    Jacobi's imaginary transformation keeps at most e^(-pi).  The series
-    run smallest terms first and stop past 2^-60 of their leading term.
-    For L > 2, 1/k = th3^2/th4^2 = 1 + (th3 - th4)(th3 + th4)/th4^2,
-    rounded once, with th3 - th4 = 4(q + q^9 + ...) free of cancellation:
-    the corner gap 1/k - 1 ~ 8q is all that sets q(L) at large L.  For
-    L <= 2, 1/k = (c^2/4) e^(pi/L) with c = th3/th2 and the factor
-    2 q^(1/4) of th2 taken out; the exponent pi/L = ph + pl is carried to
-    twice float precision (a Veltkamp split), since the result is as
-    accurate as its exponent is absolutely and pi/L reaches 3e3 at
-    L = 1e-3.  Infinite where 1/k leaves float range, below L = 0.0044."""
-    wide = L > 2.0
-    pa = math.pi * (0.5 * L if wide else 2.0 / L)
-    cut = _CUT / pa
-    exp = math.exp
-    even_n = range(min(5, int(0.5 + math.sqrt(0.25 + cut))), 0, -1)
-    even = [2.0 * exp(-pa * n * n) for n in even_n]
-    th3 = 1.0 + sum(even)
-    if wide:
-        even4 = [-e if n & 1 else e for n, e in zip(even_n, even)]
-        th4 = 1.0 + sum(even4)
-        d = sum([e - e4 for e, e4 in zip(even, even4)])
-        return 1.0 + d * (th3 + th4) / (th4 * th4)
-    odd = range(min(4, int(math.sqrt(cut))), -1, -1)
-    c = th3 / sum([exp(-(pa * n * (n + 1) if n else 0.0)) for n in odd])
-    ph = math.pi / L
-    (ah, al), (bh, bl) = ((ph, 0.0) if ph > 1e300 else _split(ph)), _split(L)
-    err = ((ah * bh - ph * L) + ah * bl + al * bh) + al * bl  # ph L - fl(ph L)
-    pl = (((math.pi - ph * L) - err) + _PI_LO) / L
-    try:
-        return c * (0.25 * c * (1.0 + pl) * exp(ph))
-    except OverflowError:
-        return math.inf
 
 
 def _mp_boundary_map(L: float):
@@ -398,18 +352,21 @@ def rect_boundary_to_halfplane(R: RectanglePolygon, dps: int | None = None) -> t
     between y_2N and y_1 restores an increasing finite configuration.
     Moebius moves leave all probability ratios invariant.
 
-    In float, the four marks of `RectanglePolygon.corners` map to
-    (-1/k, -1, 1, 1/k), 1/k from `_inverse_k`, with no mpmath, when
-    1 < 1/k < inf: exactly when the map's rounded raw images are finite
-    and increasing.  Every other float input takes `_mp_boundary_map` at
-    _MAP_DPS digits and rounds each raw image to float before the Moebius
-    step, so an image beyond float range is infinite there and moved like
-    any other.
+    In float, the four marks of `RectanglePolygon.corners` map to the
+    Moebius frame (0, eps, 1, 2), eps = 2q/(1 + q) with q the corner
+    cross-ratio, and no mpmath; ArithmeticError where eps rounds onto 1
+    or q^4 is not a normal float, since the frame then collapses two
+    images or loses the digits of the q^4 entry.  Every other float
+    input takes `_mp_boundary_map` at _MAP_DPS digits and rounds each raw
+    image to float before the Moebius step, so an image beyond float
+    range is infinite there and moved like any other.
     """
     if dps is None and R.marks == _corner_marks(R.L):
-        inv_k = _inverse_k(R.L)
-        if 1.0 < inv_k < math.inf:
-            return (-inv_k, -1.0, 1.0, inv_k)
+        q = cross_ratio_rectangle(R.L)
+        eps = 2.0 * q / (1.0 + q)
+        if not (sys.float_info.min <= q**4 and eps < 1.0):
+            raise ArithmeticError(f"corner frame out of float range at L = {R.L!r} (q = {q!r})")
+        return (0.0, eps, 1.0, 2.0)
     import mpmath
 
     if dps is not None:

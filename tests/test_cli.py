@@ -148,19 +148,27 @@ def test_prob_cancellation_fails(capsys, L):
         assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("L", ["0.6", "1", "2", "6"])
+@pytest.mark.parametrize("L", ["0.6", "1", "2", "6", "10", "12", "15", "20", "25"])
 def test_prob_well_conditioned_rectangles_print(capsys, L):
     code, out, _ = run_cli(capsys, "prob", "--rectangle", L)
     assert code == 0
     assert out.strip().endswith("sum 1.000000000")
+    code, out, _ = run_cli(capsys, "prob", "--rectangle", L, "--json")
+    assert code == 0
+    with mpmath.workdps(60):
+        nome = mpmath.exp(-mpmath.pi * mpmath.mpf(L))
+        q4 = float((mpmath.jtheta(2, 0, nome) / mpmath.jtheta(3, 0, nome)) ** 16)
+    assert json.loads(out)["outcomes"][2]["prob"] == pytest.approx(q4, rel=1e-10, abs=0.0)
 
 
 def test_prob_collapsed_rectangle_images_fail(capsys):
-    # at L = 25 the float images of the corners round onto -1, -1, 1, 1
-    code, out, err = run_cli(capsys, "prob", "--rectangle", "25")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
+    # the corner frame (0, eps, 1, 2) collapses where eps rounds onto 1
+    # (L = 0.04), and q^4 is subnormal at L = 60
+    for L in ("0.04", "60"):
+        code, out, err = run_cli(capsys, "prob", "--rectangle", L)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("spacing", ["1e200", "1e-200"])
@@ -464,7 +472,8 @@ def test_simulate_imports_no_sparse_graph_code():
 
 def test_prob_imports_no_scipy():
     # scipy.special alone cost 0.3 s of a 0.49-s `import mgffcross`; a
-    # corner rectangle runs in float alone, so mpmath stays out too
+    # corner rectangle's frame needs float theta constants alone, so
+    # mpmath stays out too
     src = os.path.dirname(os.path.dirname(mgffcross.__file__))
     code = (
         "import sys, mgffcross; from mgffcross import cli; "

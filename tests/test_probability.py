@@ -2,13 +2,13 @@
 
 import math
 import random
-import re
 
 import mpmath
 import numpy as np
 import pytest
 
 from mgffcross import coulomb, incidence, partition_fn, probability
+from mgffcross.cli import MAX_REL_ERROR
 from mgffcross.combinat import enumerate_link_patterns, enumerate_pairings, tau
 from mgffcross.probability import (
     OutcomeDistribution,
@@ -395,6 +395,12 @@ def _lambda_mp(L):
         return float((th2 / th3) ** 4), float((th4 / th3) ** 4)
 
 
+def _rectangle_closed_forms(L):
+    """`closed_forms_n2` at q(L), with 1 - q(L) from its own theta quotient."""
+    q, one_minus_q = _lambda_mp(L)
+    return (one_minus_q**4, 2 * q * one_minus_q * (2 - q + q * q), q**4)
+
+
 @pytest.mark.parametrize("L", [1 / 25, 1 / 10, 0.15, 0.5, 1.0, 2.0, 12.0, 20.0, 25.0])
 def test_cross_ratio_rectangle_against_jtheta(L):
     q, one_minus_q = _lambda_mp(L)
@@ -449,15 +455,10 @@ def test_rectangle_rejects_a_mark_at_the_perimeter():
 
 
 def test_halfplane_images_of_corners():
-    for L in (0.5, 1.0, 2.0):
-        R = RectanglePolygon.corners(L)
-        y = rect_boundary_to_halfplane(R)
-        k, _, _, _ = theta_moduli(2.0 / L)
-        assert y[0] == pytest.approx(-1.0 / k, rel=1e-9)
-        assert y[1] == pytest.approx(-1.0, rel=1e-9)
-        assert y[2] == pytest.approx(1.0, rel=1e-9)
-        assert y[3] == pytest.approx(1.0 / k, rel=1e-9)
-        assert list(y) == sorted(y)
+    for L in (0.5, 1.0, 2.0, 15.0, 25.0):
+        y = rect_boundary_to_halfplane(RectanglePolygon.corners(L))
+        assert list(y) == sorted(set(y))
+        assert cross_ratio(y) == pytest.approx(_lambda_mp(L)[0], rel=1e-12)
 
 
 def test_halfplane_map_preserves_cross_ratio():
@@ -553,37 +554,12 @@ def test_corners_map_to_exact_images(L):
         assert image(2.0 * L + 1.0) == -image(L + 1.0)
 
 
-def test_corner_route_agrees_with_the_rounded_map():
-    # the four corners skip the map exactly where its rounded raw images
-    # are finite and increasing, agree with them there to 4 ulp (1/k comes
-    # from float theta constants), and otherwise fail the way the map does
-    Ls = [25.0 ** (j / 200) for j in range(-200, 201)] + [1e-3, 0.004, 30.0, 100.0]
-    failed = []
-    for L in Ls:
-        R = RectanglePolygon.corners(L)
-        inv_k = probability._inverse_k(L)
-        try:
-            want = probability._normalized(R, _float_image(L))
-        except ArithmeticError as exc:
-            failed.append(L)
-            assert not 1.0 < inv_k < math.inf
-            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                rect_boundary_to_halfplane(R)
-        else:
-            assert 1.0 < inv_k < math.inf
-            got = rect_boundary_to_halfplane(R)
-            assert got[1:3] == want[1:3] == (-1.0, 1.0)
-            for g, w in zip(got, want):
-                assert abs(g - w) <= 4 * math.ulp(w)
-    assert failed == [25.0, 1e-3, 0.004, 30.0, 100.0]
-
-
 def test_corner_rectangle_builds_no_boundary_map(monkeypatch):
     def refuse(L):
         raise AssertionError("a boundary map was built")
 
     monkeypatch.setattr(probability, "_mp_boundary_map", refuse)
-    for L in (0.6, 1.0, 2.0, 2.5, 6.0):
+    for L in (0.6, 1.0, 2.0, 2.5, 6.0, 15.0, 25.0):
         assert len(rectangle_distribution(RectanglePolygon.corners(L)).probs) == 3
     with pytest.raises(AssertionError, match="boundary map"):  # other marks still use it
         rect_boundary_to_halfplane(_marked(2.0)[1])
@@ -594,8 +570,6 @@ def test_corners_of_a_float32_ratio_are_those_of_its_float():
     R32, R = RectanglePolygon.corners(L32), RectanglePolygon.corners(float(L32))
     assert R32 == R and all(type(m) is float for m in (R32.L, *R32.marks))
     assert rect_boundary_to_halfplane(R32) == rect_boundary_to_halfplane(R)
-    y = rect_boundary_to_halfplane(R32)
-    assert y[0] == -y[3]
     six = (5.5, 0.0, 1.0, 2.0, 2.5, 4.0)  # the float route through mpmath
     want = rect_boundary_to_halfplane(RectanglePolygon(2.0, six))
     assert rect_boundary_to_halfplane(RectanglePolygon(np.float32(2.0), six)) == want
@@ -604,11 +578,11 @@ def test_corners_of_a_float32_ratio_are_those_of_its_float():
 
 @pytest.mark.parametrize("L", [6.0, 8.0, 10.0, 12.0, 15.0, 20.0, 25.0])
 def test_long_rectangle_top_corner_is_the_nearest_float_to_one_over_k(L):
-    # 1/k - 1 ~ 8 e^(-pi L/2) is the whole corner gap, and q(L) moves
-    # with every ulp of 1/k
+    # a marked rectangle's top corners come from the map: rounded once,
+    # 1/k keeps the gap 1/k - 1 ~ 8 e^(-pi L/2) to its last bit
     with mpmath.workdps(50):
         inv_k = float(1 / mpmath.kfrom(q=mpmath.exp(-2 * mpmath.pi / L)))
-    assert probability._inverse_k(L) == inv_k
+    assert _float_image(L)(L + 1.0) == inv_k
 
 
 @pytest.mark.parametrize("L", [0.6, 1.0, 2.0, 6.0])
@@ -625,6 +599,29 @@ def test_rectangle_distribution_reads_its_own_images():
         R = RectanglePolygon.corners(math.exp(rng.uniform(math.log(0.6), math.log(6.0))))
         want = outcome_distribution(4, rect_boundary_to_halfplane(R)).probs
         assert rectangle_distribution(R).probs == want
+
+
+def test_long_corner_rectangles_keep_their_relative_accuracy():
+    # q sits in the frame's gap at 0, so q^4 keeps the relative accuracy
+    # of q until it leaves the normal float range past L = 57
+    for L in (57.0 ** (j / 99) for j in range(100)):
+        got = rectangle_distribution(RectanglePolygon.corners(L)).probs
+        assert got == pytest.approx(_rectangle_closed_forms(L), rel=1e-10, abs=0.0)
+
+
+def test_corner_rectangles_are_right_or_refused():
+    # each corner call raises, or has a condition number that `prob`
+    # refuses, or matches the closed forms: no wrong answer passes unseen
+    for j in range(401):
+        L = 0.01 * 25000.0 ** (j / 400)
+        R = RectanglePolygon.corners(L)
+        try:
+            got = rectangle_distribution(R).probs
+        except ArithmeticError:
+            continue
+        if probability.condition(4, rect_boundary_to_halfplane(R)) * 2.0**-53 > MAX_REL_ERROR:
+            continue
+        assert got == pytest.approx(_rectangle_closed_forms(L), rel=MAX_REL_ERROR, abs=0.0)
 
 
 @pytest.mark.parametrize("L", [10.0 ** (j / 4) for j in range(-12, 13)])
@@ -660,10 +657,8 @@ def test_halfplane_images_at_dps(L):
 def test_rectangle_distribution_at_dps_covers_the_geometry():
     # at L = 0.5 the float route is off by 2e-10 in (1-q)^4; dps=30
     # carries images and sums at 30 digits
-    q, one_minus_q = _lambda_mp(0.5)
-    want = (one_minus_q**4, 2 * q * one_minus_q * (2 - q + q * q), q**4)
     got = rectangle_distribution(RectanglePolygon.corners(0.5), dps=30).probs
-    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert got == pytest.approx(_rectangle_closed_forms(0.5), rel=1e-14, abs=0.0)
 
 
 def test_six_mark_rectangle_maps_and_normalizes():
