@@ -179,17 +179,19 @@ class Compiled:
     the one-span case.  The `dps` route reads each term's factor row
     through the same key_of.
 
-    The float pass converts each variable's value once.  It enters
+    The float pass converts each variable's value once, a tuple of the
+    labels 1..n by one `map`.  It checks the differences and enters
     `np.errstate` only when some difference lies outside `safe`, the
     range in which no power, partial product or coefficient multiple of
-    the table can overflow or underflow; outside it lie negative bases
-    (only ever raised to integer powers) and differences whose powers may
-    leave float range.  Finiteness is checked on each combo's `fsum`,
+    the table can overflow or underflow and every base is positive;
+    outside it lie zero and negative bases (the latter only ever raised
+    to integer powers) and differences whose powers may leave float
+    range.  Finiteness is checked on each combo's `fsum`,
     which is non-finite exactly when one of its terms is."""
 
     __slots__ = (
         "pairs", "labels", "index", "base", "e2", "power", "odd", "slots", "key_of", "coef",
-        "exact", "spans", "safe",
+        "exact", "spans", "safe", "dense",
     )
 
     def __init__(self, combos):
@@ -200,6 +202,10 @@ class Compiled:
         self.labels = tuple(sorted({v for pair in self.pairs for v in pair}))
         at = {v: i for i, v in enumerate(self.labels)}
         self.index = tuple((at[a], at[b]) for a, b in self.pairs)
+        # n when the labels are exactly 1..n, so that a tuple of n values
+        # holds them in order; else -1
+        n = len(self.labels)
+        self.dense = n if self.labels == tuple(range(1, n + 1)) else -1
         col = {pair: j for j, pair in enumerate(self.pairs)}
         # terms in dict order, each pointing at its key's product, the keys
         # in first-seen order: a product and the exact fsum do not depend
@@ -238,13 +244,13 @@ class Compiled:
         r = (1000.0 - scale) / max(degree, 1) if scale < 1000.0 else 0.0
         self.safe = (2.0**-r, 2.0**r)
 
-    def differences(self, values, conv) -> list:
-        """x_b - x_a for every pair, each value converted by conv once:
-        values maps labels to numbers, or a sequence holds labels 1, 2, ..."""
+    def _read(self, values, conv) -> list:
+        """Each label's value, converted by conv once: values maps labels to
+        numbers, or a sequence holds labels 1, 2, ... at positions 0, 1, ..."""
         try:
             if hasattr(values, "keys"):
                 x = [conv(values[v]) for v in self.labels]
-            else:  # a sequence holds labels 1, 2, ... at positions 0, 1, ...
+            else:
                 x = [conv(values[v - 1]) for v in self.labels if v > 0]
         except KeyError as exc:
             raise ValueError(f"no value for variable {exc.args[0]}") from None
@@ -253,19 +259,30 @@ class Compiled:
         if len(x) < len(self.labels):  # a label the sequence cannot hold
             missing = next(v for v in self.labels if not 0 < v <= len(values))
             raise ValueError(f"no value for variable {missing}")
-        d = [x[b] - x[a] for a, b in self.index]
+        return x
+
+    def _check(self, d: list) -> None:
+        """ValueError unless every difference is nonzero and every pair with
+        a half-integer power has a positive one."""
         if 0 in d:
             raise ValueError(f"coincident points for pair {self.pairs[d.index(0)]}")
         for j in self.odd:
             if d[j] < 0:
                 raise ValueError(f"negative base for half-integer power on pair {self.pairs[j]}")
-        return d
 
     def float_terms(self, values) -> np.ndarray:
-        d = self.differences(values, float)
+        """Every term's float value at x = values.  A tuple of exactly the
+        labels 1..n is read by one `map`; other values go through `_read`."""
+        if type(values) is tuple and len(values) == self.dense:
+            x = list(map(float, values))
+        else:
+            x = self._read(values, float)
+        d = [x[b] - x[a] for a, b in self.index]
         lo, hi = self.safe
+        # within safe every difference is positive, so the checks pass
         if d and lo <= min(d) and max(d) <= hi:
             return self._products(np.array(d))
+        self._check(d)
         # a term that overflows fails the finiteness check of the sums
         with np.errstate(all="ignore"):
             return self._products(np.array(d))
@@ -315,7 +332,9 @@ class Compiled:
             keep = lambda v: v if isinstance(v, mpmath.mpf) else mpmath.mpf(
                 v if isinstance(v, (int, float)) else float(v)
             )
-            d = self.differences(values, keep)
+            x = self._read(values, keep)
+            d = [x[b] - x[a] for a, b in self.index]
+            self._check(d)
             # every factor some term gathers, once; d^0 is skipped, not multiplied
             pw = [
                 d[j] ** (e2 // 2) * (mpmath.sqrt(d[j]) if e2 % 2 else 1) if e2 else None

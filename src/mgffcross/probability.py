@@ -121,9 +121,12 @@ class OutcomeDistribution:
         if len(self.patterns) != len(self.probs):
             raise ValueError("length mismatch")
         probs = self.probs
-        if not (all(map(math.isfinite, probs)) and min(probs, default=0.0) >= 0):
-            raise ArithmeticError(f"negative or non-finite probability in {probs!r}")
         s = sum(probs)
+        # a NaN or an infinity among the entries makes the sum non-finite;
+        # finite entries can only overflow it
+        finite = math.isfinite(s) or all(map(math.isfinite, probs))
+        if not (finite and min(probs, default=0.0) >= 0):
+            raise ArithmeticError(f"negative or non-finite probability in {probs!r}")
         if abs(s - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {s!r}, not 1")
 
@@ -143,8 +146,10 @@ def outcome_distribution(npoints: int, y, dps: int | None = None) -> OutcomeDist
 
 def _distribution(npoints: int, values, dps: int | None) -> OutcomeDistribution:
     patterns, where = _layout(npoints)
-    den, *nums = _scale_free(_table(npoints).sums, values, dps)
-    ratios = [0.0] + [float(num / den) for num in nums]
+    sums = _scale_free(_table(npoints).sums, values, dps)
+    den = sums[0]
+    ratios = [float(num / den) for num in sums]
+    ratios[0] = 0.0  # the entry `where` gives an unreachable pattern
     return OutcomeDistribution(patterns, tuple(map(ratios.__getitem__, where)))
 
 
@@ -236,28 +241,35 @@ class RectanglePolygon:
         float first, so the marks are the float arc lengths of its value
         whatever its type."""
         L = float(L)
-        return cls(L, _corner_marks(L))
-
-
-def _theta_constants(ratio: float) -> tuple[float, float, float]:
-    """theta2, theta3, theta4 at z = 0 and nome e^(-pi a), a = max(ratio, 1/ratio)."""
-    if not (ratio > 0 and math.isfinite(ratio)):
-        raise ValueError("ratio must be positive and finite")
-    a = max(ratio, 1.0 / ratio)
-    q, n = math.exp(-math.pi * a), range(5, 0, -1)  # smallest terms first
-    return (
-        2.0 * math.exp(-math.pi * a / 4.0) * (1.0 + sum(q ** (j * j + j) for j in n)),
-        1.0 + 2.0 * sum(q ** (j * j) for j in n),
-        1.0 + 2.0 * sum((-q) ** (j * j) for j in n),
-    )
+        marks = _corner_marks(L)
+        # these marks pass every check of the constructor exactly when
+        # 0 = y_2 < y_3 < y_4 < y_1 < perimeter < inf holds; where it does
+        # not, the constructor raises its own error
+        if 0.0 < L < marks[3] < marks[0] < 2.0 * (L + 1.0) < math.inf:
+            R = object.__new__(cls)
+            object.__setattr__(R, "L", L)
+            object.__setattr__(R, "marks", marks)
+            return R
+        return cls(L, marks)
 
 
 def cross_ratio_rectangle(L: float) -> float:
     """Corner cross-ratio of the [0,L]x[0,1] rectangle: q = theta2^4/theta3^4
     at nome e^(-pi L), or 1 - q(1/L) = theta4^4/theta3^4 at e^(-pi/L) for
     L < 1; over theta3^4 = theta2^4 + theta4^4 (DLMF 20.7.3), q(1) = 1/2
-    and q(L) + q(1/L) = 1 hold to rounding."""
-    th2, _, th4 = _theta_constants(L)
+    and q(L) + q(1/L) = 1 hold to rounding.
+
+    theta2 and theta4 at z = 0 sum five terms each, smallest first.  At
+    the nome e^(-pi a) <= e^(-pi) the terms past n = 3 lie below 2^-53 of
+    the leading one; they are kept so that q is the five-term series'
+    float, operation for operation, at every ratio."""
+    if not 0.0 < L < math.inf:
+        raise ValueError("ratio must be positive and finite")
+    a = L if L >= 1.0 else 1.0 / L
+    q = math.exp(-math.pi * a)
+    m = -q
+    th2 = 2.0 * math.exp(-math.pi * a / 4.0) * (1.0 + (q**30 + q**20 + q**12 + q**6 + q**2))
+    th4 = 1.0 + 2.0 * (m**25 + m**16 + m**9 + m**4 + m)
     t2, t4 = th2**4, th4**4
     return (t2 if L >= 1.0 else t4) / (t2 + t4)
 

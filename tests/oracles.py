@@ -15,10 +15,11 @@ read off the faces of the reachable patterns' slot lifts.
 Two lattice helpers only tests need live here too: the vertex id of a
 grid point and the discrete Laplacian residual of a field; so do the
 complete elliptic integrals K, K' of a rectangle, which the theta-quotient
-boundary map no longer reads, and the connection probability between
-pairings, which no library route uses, and the relabelling of a combo's
-variables (`variables`, `rename`), which the series extractor needs and
-the library's term streams do not.  The null-field residuals are
+boundary map no longer reads, from the generic theta-constant series
+that the straight-line corner cross ratio replaced, and the connection
+probability between pairings, which no library route uses, and the
+relabelling of a combo's variables (`variables`, `rename`), which the
+series extractor needs and the library's term streams do not.  The null-field residuals are
 recomputed with `mpmath.diff` derivatives instead of the closed-form
 term derivatives.
 """
@@ -37,7 +38,7 @@ from scipy.sparse.csgraph import connected_components
 
 from mgffcross import coulomb, incidence, partition_fn
 from mgffcross.combinat import LinkPattern, PairPartition, make_pairing, make_pattern, tau
-from mgffcross.probability import _theta_constants, canonical_partition
+from mgffcross.probability import canonical_partition
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +655,24 @@ def theta_modulus_from_ratio(ratio: float, dps: int = 30) -> float:
         return float(k)
 
 
+def theta_constants(ratio: float) -> tuple[float, float, float]:
+    """theta2, theta3, theta4 at z = 0 and nome e^(-pi a), a = max(ratio, 1/ratio):
+    five terms of each series, smallest first."""
+    if not (ratio > 0 and math.isfinite(ratio)):
+        raise ValueError("ratio must be positive and finite")
+    a = max(ratio, 1.0 / ratio)
+    q, n = math.exp(-math.pi * a), range(5, 0, -1)  # smallest terms first
+    return (
+        2.0 * math.exp(-math.pi * a / 4.0) * (1.0 + sum(q ** (j * j + j) for j in n)),
+        1.0 + 2.0 * sum(q ** (j * j) for j in n),
+        1.0 + 2.0 * sum((-q) ** (j * j) for j in n),
+    )
+
+
 def theta_moduli(ratio: float) -> tuple[float, float, float, float]:
     """(k, k', K, K') with K'/K = ratio: k = theta2^2/theta3^2, k' =
     theta4^2/theta3^2 and K = (pi/2) theta3^2 at nome e^(-pi ratio); for
     ratio < 1 the dual nome e^(-pi/ratio) gives k', k and K'."""
-    th2, th3, th4 = _theta_constants(ratio)
+    th2, th3, th4 = theta_constants(ratio)
     k, kp, K = (th2 / th3) ** 2, (th4 / th3) ** 2, 0.5 * math.pi * th3 * th3
     return (k, kp, K, ratio * K) if ratio >= 1.0 else (kp, k, K / ratio, K)

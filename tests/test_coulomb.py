@@ -218,16 +218,47 @@ def test_table_reads_a_sequence_as_labels_from_one():
         Compiled((_m(1, {(0, 1): F(1)}),)).sums(y)
 
 
+def _forms(y):
+    """The forms a float evaluation reads alike: a tuple, a list, a mapping
+    of labels 1..n, a numpy array and a tuple of mpf values."""
+    return (tuple(y), list(y), dict(enumerate(y, 1)), np.array(y), tuple(map(mpmath.mpf, y)))
+
+
+def test_float_route_reads_every_form_alike():
+    f = _m(F(2, 3), {(1, 2): F(-1, 2), (2, 3): F(1, 2)}) + _m(F(-1, 7), {(1, 3): F(3)})
+    table = Compiled((f, _m(5, {(1, 2): F(2), (2, 3): F(-1)})))
+    y = (0.3, 1.7, 2.2)
+    want, cond = table.sums(y), table.conditions(y)
+    for x in _forms(y):
+        assert table.sums(x) == want
+        assert table.conditions(x) == cond
+    bad = [
+        ((0.3, 0.3, 2.2), r"coincident points for pair \(1, 2\)"),
+        ((0.3, 1.7, 1.2), r"negative base for half-integer power on pair \(2, 3\)"),
+        ((0.3, 1.7), "no value for variable 3"),
+    ]
+    for y, match in bad:
+        for x in _forms(y):
+            with pytest.raises(ValueError, match=match):
+                table.sums(x)
+            with pytest.raises(ValueError, match=match):
+                table.conditions(x)
+
+
 @pytest.mark.parametrize("spacing", [1e200, 1e-200])
 def test_overflowing_terms_raise_from_sums_and_conditions(spacing):
     table = probability._table(4)
-    x = (0.0, spacing, 2 * spacing, 3 * spacing)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the float pass keeps numpy quiet
-        with pytest.raises(OverflowError, match="a term leaves the float range"):
-            table.sums(x)
-        with pytest.raises(OverflowError, match="a term leaves the float range"):
-            table.conditions(x)
+    y = (0.0, spacing, 2 * spacing, 3 * spacing)
+    want = probability.outcome_distribution(4, y).probs
+    for x in _forms(y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the float pass keeps numpy quiet
+            with pytest.raises(OverflowError, match="a term leaves the float range"):
+                table.sums(x)
+            with pytest.raises(OverflowError, match="a term leaves the float range"):
+                table.conditions(x)
+        # and the distribution rescales them, whatever their form
+        assert probability.outcome_distribution(4, x).probs == want
 
 
 def test_mixed_sign_integer_powers_evaluate_without_warning():

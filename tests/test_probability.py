@@ -25,6 +25,7 @@ from mgffcross.probability import (
 from oracles import (
     brute_cluster_pattern_table,
     connection_probability,
+    theta_constants,
     theta_moduli,
     theta_modulus_from_ratio,
 )
@@ -201,6 +202,11 @@ def test_table_matches_per_combo_bits_on_rectangles():
     Ls = [0.6 * 10.0 ** (k / 199) for k in range(200)]
     images = [rect_boundary_to_halfplane(RectanglePolygon.corners(L)) for L in Ls]
     assert_table_bits(4, images)
+    # the traced benchmark replays each corner rectangle this way: each
+    # numerator over Z_total at the corner frame, read as a mapping
+    at = per_combo(4)
+    for L, y in zip(Ls, images):
+        assert rectangle_distribution(RectanglePolygon.corners(L)).probs == at(y)[0]
 
 
 def test_table_matches_per_combo_bits_at_six_points():
@@ -376,6 +382,20 @@ def test_solve_modulus_rejects_bad_ratio(bad):
         theta_moduli(bad)
 
 
+def test_cross_ratio_rectangle_is_the_generic_theta_series():
+    # five terms of each theta series, smallest first, in either code
+    def generic(L):
+        th2, _, th4 = theta_constants(L)
+        t2, t4 = th2**4, th4**4
+        return (t2 if L >= 1.0 else t4) / (t2 + t4)
+
+    Ls = [1e-3 * 1e6 ** (j / 9999) for j in range(10000)] + [0.5, 1.0, 2.0, 57.0]
+    assert [cross_ratio_rectangle(L) for L in Ls] == [generic(L) for L in Ls]
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            cross_ratio_rectangle(bad)
+
+
 def test_cross_ratio_rectangle_square():
     assert cross_ratio_rectangle(1.0) == pytest.approx(0.5, rel=1e-14)
 
@@ -426,6 +446,31 @@ def test_corner_rectangle_marks():
     assert R.marks == (5.0, 0.0, 2.0, 3.0)
     assert R.perimeter == 6.0
     assert R.npoints == 4
+
+
+def _built(make, L):
+    try:
+        R = make(L)
+    except ValueError as exc:
+        return str(exc)
+    return R, [type(v) for v in (R.L, *R.marks)]
+
+
+def test_corners_accept_and_reject_what_the_constructor_does():
+    edges = [5e-324, 1e-17, 1e16, 8.9e307, 1e308, math.inf, math.nan, 0.0, -1.0]
+    edges.append(np.float32(0.61082166))
+    # each power of two and its neighbours, across the whole float range
+    powers = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    near = [math.nextafter(x, d) for x in powers for d in (0.0, math.inf)]
+    checked = lambda L: RectanglePolygon(float(L), probability._corner_marks(float(L)))
+    seen = set()
+    for L in edges + powers + near:
+        got = _built(RectanglePolygon.corners, L)
+        assert got == _built(checked, L), L
+        seen.add(isinstance(got, str))
+    assert seen == {False, True}
+    assert _built(RectanglePolygon.corners, 1e-17) == "marked points must be in ccw cyclic order"
+    assert _built(RectanglePolygon.corners, math.nan) == "aspect ratio must be positive and finite"
 
 
 def test_rectangle_validation():
