@@ -19,9 +19,10 @@ Evaluation goes through `Compiled`, a table of one or more combos over
 the union of their pairs: one difference per pair, one `pow` per (pair,
 power) factor that some term gathers, a gather, one product in pair
 order per distinct exponent key, one coefficient multiple per term and
-one `math.fsum` per combo.  The float bits are those of this numpy
-build's `np.power`, which on some machines differs from libm `pow` in
-the last place; so the powers stay one array call.  `evaluate` and
+one `math.fsum` per combo; with `dps` set, the same pass in mpf.  The
+float bits are those of this numpy build's `np.power`, which on some
+machines differs from libm `pow` in the last place; so the powers stay
+one array call.  `evaluate` and
 `condition` use the one-combo table cached on a combo; a caller that
 needs several combos at the same point builds one table over all of them
 and gets each combo's bits unchanged.
@@ -176,8 +177,9 @@ class Compiled:
     1.9 MB, at once.  A pair a
     combo lacks has e2 = 0 and gathers d^0 = 1.0, an exact factor, so a
     combo's sums keep their bits in any table that holds it; one combo is
-    the one-span case.  The `dps` route reads each term's factor row
-    through the same key_of.
+    the one-span case.  The `dps` route is the same pass over an object
+    array of mpf differences, with mpf coefficients, each span summed by
+    `mpmath.fsum`.
 
     The float pass converts each variable's value once, a tuple of the
     labels 1..n by one `map`.  It checks the differences and enters
@@ -281,18 +283,19 @@ class Compiled:
         lo, hi = self.safe
         # within safe every difference is positive, so the checks pass
         if d and lo <= min(d) and max(d) <= hi:
-            return self._products(np.array(d))
+            return self._products(np.array(d), self.coef)
         self._check(d)
         # a term that overflows fails the finiteness check of the sums
         with np.errstate(all="ignore"):
-            return self._products(np.array(d))
+            return self._products(np.array(d), self.coef)
 
-    def _products(self, d: np.ndarray) -> np.ndarray:
+    def _products(self, d: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """Every term at differences d: floats, or mpf in an object array."""
         pw = np.power(d[self.base], self.power)
         # each key multiplies its factors in pair order, so equal combos
         # give equal bits
         terms = np.multiply.reduce(pw[self.slots])[self.key_of]
-        terms *= self.coef
+        terms *= coef
         return terms
 
     def _fsums(self, terms: np.ndarray) -> list:
@@ -324,35 +327,30 @@ class Compiled:
         ]
 
     def mp_sums(self, values, dps: int) -> list:
+        """Each combo's mpf value at dps digits: the float pass's products
+        over an object array of mpf, each span summed by `mpmath.fsum`."""
         import mpmath
 
         with mpmath.workdps(dps):
-            # mpf, int and float values enter exactly; others (numpy
-            # integers, fractions) as their float, since mpf refuses them
-            keep = lambda v: v if isinstance(v, mpmath.mpf) else mpmath.mpf(
-                v if isinstance(v, (int, float)) else float(v)
-            )
-            x = self._read(values, keep)
+            x = self._read(values, _mpf)
             d = [x[b] - x[a] for a, b in self.index]
             self._check(d)
-            # every factor some term gathers, once; d^0 is skipped, not multiplied
-            pw = [
-                d[j] ** (e2 // 2) * (mpmath.sqrt(d[j]) if e2 % 2 else 1) if e2 else None
-                for j, e2 in zip(self.base.tolist(), self.e2.tolist())
-            ]
-            sums = []
-            rows = self.slots.T.tolist()
-            key_of = self.key_of.tolist()
-            for a, b in self.spans:
-                terms = []
-                for c, k in zip(self.exact[a:b], key_of[a:b]):
-                    t = mpmath.mpf(c.numerator) / c.denominator
-                    for f in rows[k]:
-                        if pw[f] is not None:
-                            t *= pw[f]
-                    terms.append(t)
-                sums.append(mpmath.fsum(terms))
-            return sums
+            coef = np.array([mpmath.mpf(c.numerator) / c.denominator for c in self.exact], object)
+            terms = self._products(np.array(d, object), coef)
+            return [mpmath.fsum(terms[a:b]) for a, b in self.spans]
+
+
+def _mpf(v):
+    """v as an mpf at the working precision: an mpf as it is, a rational
+    (int, Fraction, numpy integer) as numerator over denominator, anything
+    else through float, since mpf refuses numpy floats other than float64."""
+    import mpmath
+
+    if isinstance(v, mpmath.mpf):
+        return v
+    if isinstance(v, Rational):
+        return mpmath.mpf(int(v.numerator)) / int(v.denominator)
+    return mpmath.mpf(float(v))
 
 
 def _compiled(c: MonomialCombo) -> Compiled:

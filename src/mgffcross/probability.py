@@ -57,7 +57,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import coulomb, incidence, partition_fn
 from .combinat import LinkPattern, enumerate_link_patterns, tau
@@ -68,46 +68,39 @@ from .partition_fn import point_values
 # Probabilities in half-plane coordinates
 
 
-@lru_cache(maxsize=None)
-def _reachable(npoints: int) -> tuple[tuple[LinkPattern, bool], ...]:
-    """Every valence-2 pattern on `npoints` points, in enumeration order,
-    with whether its slot lift is reachable from the ground-state
-    pairing: arrow(omega, tau(p)).  An unreachable pattern has
-    probability zero."""
-    om = partition_fn.omega_pairing(npoints)
-    return tuple(
-        (p, incidence.arrow_relation(om, tau(p))) for p in enumerate_link_patterns((2,) * npoints)
-    )
+class _Model:
+    """The exact model on `npoints` points: every valence-2 pattern in
+    enumeration order; `live`, whether each one's slot lift is reachable
+    from the ground-state pairing, arrow(omega, tau(p)); and `where`, for
+    each pattern 0 when it is unreachable (probability zero) or else 1 +
+    its numerator's position after Z_total in `table`.  The table holds
+    Z_total and the reachable fused numerators, in that order, built from
+    their terms: one pass evaluates them all, and no numerator caches a
+    table of its own.  It is built on first use, so the cluster
+    dictionary starts no fusion."""
+
+    def __init__(self, npoints: int):
+        om = partition_fn.omega_pairing(npoints)
+        self.npoints = npoints
+        self.patterns = tuple(enumerate_link_patterns((2,) * npoints))
+        self.live = tuple(incidence.arrow_relation(om, tau(p)) for p in self.patterns)
+        self.where = tuple(
+            k if live else 0 for live, k in zip(self.live, itertools.accumulate(self.live))
+        )
+
+    @cached_property
+    def table(self) -> coulomb.Compiled:
+        nums = (
+            partition_fn.fused_pure_partition(p)
+            for p, live in zip(self.patterns, self.live)
+            if live
+        )
+        return coulomb.Compiled((partition_fn.z_mgff_total(self.npoints), *nums))
 
 
 @lru_cache(maxsize=None)
-def _numerators(npoints: int) -> tuple[tuple[LinkPattern, coulomb.MonomialCombo | None], ...]:
-    """Every pattern of `_reachable` with its fused partition function, or
-    None when the lift is unreachable."""
-    return tuple(
-        (p, partition_fn.fused_pure_partition(p) if live else None)
-        for p, live in _reachable(npoints)
-    )
-
-
-@lru_cache(maxsize=None)
-def _layout(npoints: int) -> tuple[tuple[LinkPattern, ...], tuple[int, ...]]:
-    """The patterns of `_numerators` and, for each, 0 when unreachable or
-    else 1 + its numerator's position after Z_total in `_table`."""
-    table = _numerators(npoints)
-    live = itertools.accumulate(num is not None for _, num in table)
-    return tuple(p for p, _ in table), tuple(
-        0 if num is None else k for (_, num), k in zip(table, live)
-    )
-
-
-@lru_cache(maxsize=None)
-def _table(npoints: int) -> coulomb.Compiled:
-    """Z_total and the reachable numerators of `_numerators`, in that order,
-    as one table built from their terms: one pass evaluates them all, and
-    no numerator caches a table of its own."""
-    nums = (num for _, num in _numerators(npoints) if num is not None)
-    return coulomb.Compiled((partition_fn.z_mgff_total(npoints), *nums))
+def _model(npoints: int) -> _Model:
+    return _Model(npoints)
 
 
 @dataclass(frozen=True)
@@ -145,17 +138,17 @@ def outcome_distribution(npoints: int, y, dps: int | None = None) -> OutcomeDist
 
 
 def _distribution(npoints: int, values, dps: int | None) -> OutcomeDistribution:
-    patterns, where = _layout(npoints)
-    sums = _scale_free(_table(npoints).sums, values, dps)
+    model = _model(npoints)
+    sums = _scale_free(model.table.sums, values, dps)
     den = sums[0]
     ratios = [float(num / den) for num in sums]
     ratios[0] = 0.0  # the entry `where` gives an unreachable pattern
-    return OutcomeDistribution(patterns, tuple(map(ratios.__getitem__, where)))
+    return OutcomeDistribution(model.patterns, tuple(map(ratios.__getitem__, model.where)))
 
 
 def condition(npoints: int, y) -> float:
     """Largest summation condition number over the reachable numerators at y."""
-    return max(_scale_free(_table(npoints).conditions, point_values(npoints, y))[1:])
+    return max(_scale_free(_model(npoints).table.conditions, point_values(npoints, y))[1:])
 
 
 def _centred(xs: tuple) -> tuple:
@@ -436,7 +429,8 @@ def cluster_pattern_table(n: int) -> dict:
     the arcs on one face are wired together.
     """
     table = {}
-    for p, live in _reachable(2 * n):
+    model = _model(2 * n)
+    for p, live in zip(model.patterns, model.live):
         if not live:
             continue
         partner = {}

@@ -19,7 +19,9 @@ boundary map no longer reads, from the generic theta-constant series
 that the straight-line corner cross ratio replaced, and the connection
 probability between pairings, which no library route uses, and the
 relabelling of a combo's variables (`variables`, `rename`), which the
-series extractor needs and the library's term streams do not.  The null-field residuals are
+series extractor needs and the library's term streams do not, and the
+per-term mpmath sums (`mp_term_sums`) that the `dps` route's table pass
+replaced.  The null-field residuals are
 recomputed with `mpmath.diff` derivatives instead of the closed-form
 term derivatives.
 """
@@ -249,6 +251,28 @@ def rename(c: coulomb.MonomialCombo, mapping: dict[int, int]) -> coulomb.Monomia
         return coulomb._canon_exponents(items), sign * coeff
 
     return coulomb.collect(renamed(key, coeff) for key, coeff in c.terms.items())
+
+
+def mp_term_sums(combos, values, dps: int) -> list:
+    """Each combo's mpf value at x = values (a mapping of labels, or a
+    sequence holding labels 1, 2, ...) at dps digits, one term at a time:
+    the coefficient times each factor of its key in pair order, d^(e2/2)
+    as d^(e2 // 2) times sqrt(d) when e2 is odd, and one `mpmath.fsum` per
+    combo.  Points enter as mpf, ints and floats exactly."""
+    with mpmath.workdps(dps):
+        x = values if hasattr(values, "keys") else dict(enumerate(values, 1))
+        x = {v: w if isinstance(w, mpmath.mpf) else mpmath.mpf(w) for v, w in x.items()}
+        sums = []
+        for c in combos:
+            terms = []
+            for key, coef in c.terms.items():
+                t = mpmath.mpf(coef.numerator) / coef.denominator
+                for (a, b), e2 in key:
+                    d = x[b] - x[a]
+                    t *= d ** (e2 // 2) * (mpmath.sqrt(d) if e2 % 2 else 1)
+                terms.append(t)
+            sums.append(mpmath.fsum(terms))
+        return sums
 
 
 def _check_adjacent(c: coulomb.MonomialCombo, u: int, v: int) -> None:

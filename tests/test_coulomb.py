@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from mgffcross import incidence, partition_fn, probability
-from mgffcross.combinat import enumerate_link_patterns, tau
+from mgffcross.combinat import enumerate_link_patterns, enumerate_pairings, tau
 from mgffcross.coulomb import Compiled, MonomialCombo, condition, evaluate
 from oracles import (
     SERIES_ORDER_CAP,
@@ -141,13 +141,20 @@ def test_table_of_combos_gives_each_combo_its_own_bits():
     assert Compiled(()).sums(x) == []
 
 
+def _numerators(npoints):
+    """The reachable fused numerators of the model's table, in its order."""
+    model = probability._model(npoints)
+    return [
+        partition_fn.fused_pure_partition(p) for p, live in zip(model.patterns, model.live) if live
+    ]
+
+
 @pytest.mark.parametrize("npoints, factors", [(4, 19), (6, 57), (8, 109)])
 def test_table_computes_only_the_factors_it_gathers(npoints, factors):
-    table = probability._table(npoints)
+    table = probability._model(npoints).table
     assert len(table.base) == len(table.e2) == factors
     # each (pair, power) factor some term takes, d^0 of a pair it lacks included
-    combos = [partition_fn.z_mgff_total(npoints)]
-    combos += [num for _, num in probability._numerators(npoints) if num is not None]
+    combos = [partition_fn.z_mgff_total(npoints), *_numerators(npoints)]
     col = {pair: j for j, pair in enumerate(table.pairs)}
     want = set()
     for c in combos:
@@ -162,9 +169,8 @@ def test_table_computes_only_the_factors_it_gathers(npoints, factors):
 
 @pytest.mark.parametrize("npoints, terms, keys", [(4, 15, 7), (6, 983, 184), (8, 139038, 8642)])
 def test_table_forms_one_product_per_distinct_key(npoints, terms, keys):
-    table = probability._table(npoints)
-    combos = [partition_fn.z_mgff_total(npoints)]
-    combos += [num for _, num in probability._numerators(npoints) if num is not None]
+    table = probability._model(npoints).table
+    combos = [partition_fn.z_mgff_total(npoints), *_numerators(npoints)]
     in_order = [key for c in combos for key in c.terms]
     assert len(table.key_of) == len(table.coef) == len(in_order) == terms
     assert table.slots.shape == (len(table.pairs), keys)
@@ -198,6 +204,34 @@ def test_combos_sharing_keys_keep_their_bits_in_both_routes():
     want = [evaluate(c, x, dps=50) for c in alone]
     assert table.sums(x, dps=50) == want
     assert all(math.isclose(w, v, rel_tol=1e-13) for w, v in zip(want, table.sums(x)))
+
+
+def _within(got, want, rel):
+    return len(got) == len(want) and all(abs(g - w) <= rel * abs(w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("npoints", [4, 6])
+def test_dps_table_matches_the_per_term_oracle(npoints):
+    # the table pass in mpf against the per-term product, at float points
+    # and at mpf points that no float holds
+    table = probability._model(npoints).table
+    combos = [partition_fn.z_mgff_total(npoints), *_numerators(npoints)]
+    configs = [(0.0, 1.0, 2.5, 3.0, 4.2, 5.0)[:npoints], (-1.0, 0.1, 0.4, 2.0, 2.2, 7.5)[:npoints]]
+    with mpmath.workdps(30):
+        configs += [tuple(mpmath.mpf(k) + mpmath.sqrt(k + 2) / 7 for k in range(npoints))]
+    for y in configs:
+        assert _within(table.sums(y, dps=30), oracles.mp_term_sums(combos, y, 30), 1e-25)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dps_half_integer_powers_match_the_per_term_oracle(n):
+    y = (0.0, 0.7, 1.9, 2.4, 3.8, 5.1)[: 2 * n]
+    with mpmath.workdps(30):
+        ym = tuple(mpmath.mpf(k) / 3 + mpmath.sqrt(k + 1) for k in range(2 * n))
+    for a in enumerate_pairings(n):
+        for c in (partition_fn.pure_partition(a), partition_fn.conformal_block(a)):
+            for x in (y, ym):
+                assert _within([evaluate(c, x, dps=30)], oracles.mp_term_sums([c], x, 30), 1e-25)
 
 
 def test_empty_table_has_no_sums():
@@ -247,7 +281,7 @@ def test_float_route_reads_every_form_alike():
 
 @pytest.mark.parametrize("spacing", [1e200, 1e-200])
 def test_overflowing_terms_raise_from_sums_and_conditions(spacing):
-    table = probability._table(4)
+    table = probability._model(4).table
     y = (0.0, spacing, 2 * spacing, 3 * spacing)
     want = probability.outcome_distribution(4, y).probs
     for x in _forms(y):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction as F
 
 import mpmath
 import numpy as np
@@ -227,7 +228,10 @@ def test_table_matches_per_combo_bits_at_eight_points():
 def test_table_keeps_numerators_bare_and_errors_unchanged():
     # the one table per point count is the only one: no numerator keeps a
     # table of its own, which would double the memory of the 8-point case
-    nums = [num for _, num in probability._numerators(6) if num is not None]
+    model = probability._model(6)
+    nums = [
+        partition_fn.fused_pure_partition(p) for p, live in zip(model.patterns, model.live) if live
+    ]
     for num in nums:
         num._compiled = None  # other tests evaluate the cached combos directly
     y = random_points(6, random.Random(8))
@@ -319,8 +323,19 @@ def test_mp_points_keep_their_precision():
     assert seq == outcome_distribution(4, dict(enumerate(y, 1)), dps=50).probs
     assert seq[0] == pytest.approx(1.637e-51, rel=1e-3)
     assert seq[1] == pytest.approx(6e-20, rel=1e-6)
-    # numpy integers, which mpf refuses, enter the mp sums as floats
+    # numpy integers, which mpf refuses, enter the mp sums through int()
     assert outcome_distribution(4, np.arange(4), dps=30).probs == outcome_distribution(4, range(4)).probs
+
+
+def test_dps_reads_rational_and_numpy_integer_points_exactly():
+    # cross ratio q = 1/4: the entries (1 - q)^4, 1 - (1 - q)^4 - q^4 and q^4
+    # exactly, where 1/3 and 2/3 through float gave 0.31640624999999994
+    y = (F(0), F(1, 3), F(2, 3), F(1))
+    assert outcome_distribution(4, y, dps=50).probs == (81 / 256, 87 / 128, 1 / 256)
+    # 2^53 + 1 keeps its last bit, which its float drops
+    table = probability._model(4).table
+    ints = (0, 1, 3, 2**53 + 1)
+    assert table.sums(tuple(map(np.int64, ints)), dps=40) == table.sums(ints, dps=40)
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +805,6 @@ def test_cluster_table_entries_are_consistent(n):
 def test_cluster_table_starts_no_fusion_build():
     misses = partition_fn.fused_pure_partition.cache_info().misses
     cluster_pattern_table.cache_clear()
-    probability._reachable.cache_clear()
+    probability._model.cache_clear()
     cluster_pattern_table(4)
     assert partition_fn.fused_pure_partition.cache_info().misses == misses

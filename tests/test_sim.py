@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mgffcross import probability
+from mgffcross import partition_fn, probability
 from mgffcross.probability import (
     RectanglePolygon,
     cluster_pattern_table,
@@ -535,7 +535,10 @@ def test_run_experiment_theory_is_the_outcome_distribution():
     # the theory column is read from the one compiled table per point
     # count: the same bits, and no numerator keeps a table of its own
     R = RectanglePolygon(2.0, (5.2, 0.0, 0.7, 2.0, 3.0, 3.9))
-    nums = [num for _, num in probability._numerators(6) if num is not None]
+    model = probability._model(6)
+    nums = [
+        partition_fn.fused_pure_partition(p) for p, live in zip(model.patterns, model.live) if live
+    ]
     for num in nums:
         num._compiled = None  # other tests evaluate the cached combos directly
     rep = run_experiment(R, base_config(trials=50, meshes=(4,)))
