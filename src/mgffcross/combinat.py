@@ -77,10 +77,6 @@ class DyckPath:
         h = self.heights
         return tuple(b - a for a, b in zip(h, h[1:]))
 
-    def height(self, k: int) -> int:
-        """Height after k steps, k in 0..2N."""
-        return self.heights[k]
-
 
 class LocalShape(Enum):
     """Shape of a path at an interior position j: step j followed by step j+1."""
@@ -103,7 +99,7 @@ def local_shape(path: DyckPath, j: int) -> LocalShape:
 
 
 def leq(a: DyckPath, b: DyckPath) -> bool:
-    """Pointwise partial order: a <= b iff a.height(k) <= b.height(k) for all k."""
+    """Pointwise partial order: a <= b iff a.heights[k] <= b.heights[k] for all k."""
     if a.n != b.n:
         raise ValueError("paths must have equal size")
     return all(x <= y for x, y in zip(a.heights, b.heights))

@@ -22,10 +22,11 @@ order per distinct exponent key, one coefficient multiple per term and
 one `math.fsum` per combo; with `dps` set, the same pass in mpf.  The
 float bits are those of this numpy build's `np.power`, which on some
 machines differs from libm `pow` in the last place; so the powers stay
-one array call.  `evaluate` and
-`condition` use the one-combo table cached on a combo; a caller that
-needs several combos at the same point builds one table over all of them
-and gets each combo's bits unchanged.
+one array call.  `evaluate` uses the one-combo table cached on a combo;
+a caller that needs several combos at the same point builds one table
+over all of them and gets each combo's bits unchanged.  `to_mpf` is the
+one conversion of a caller's number into mpmath, here and in the
+`dps` routes of `probability` and `verify`.
 """
 
 from __future__ import annotations
@@ -178,8 +179,10 @@ class Compiled:
     combo lacks has e2 = 0 and gathers d^0 = 1.0, an exact factor, so a
     combo's sums keep their bits in any table that holds it; one combo is
     the one-span case.  The `dps` route is the same pass over an object
-    array of mpf differences, with mpf coefficients, each span summed by
-    `mpmath.fsum`.
+    array of mpf differences, each span summed by `mpmath.fsum`; it
+    multiplies by the coefficients as Python ints (`ints`) when they are
+    all integers, as at 4, 6 and 8 points, and otherwise by
+    their mpf at the working precision.
 
     The float pass converts each variable's value once, a tuple of the
     labels 1..n by one `map`.  It checks the differences and enters
@@ -193,7 +196,7 @@ class Compiled:
 
     __slots__ = (
         "pairs", "labels", "index", "base", "e2", "power", "odd", "slots", "key_of", "coef",
-        "exact", "spans", "safe", "dense",
+        "exact", "ints", "spans", "safe", "dense",
     )
 
     def __init__(self, combos):
@@ -239,6 +242,8 @@ class Compiled:
         self.slots = np.searchsorted(used, e2)
         self.exact = tuple(c for t in terms for c in t.values())
         self.coef = np.fromiter(map(float, self.exact), float, len(self.exact))
+        integral = all(c.denominator == 1 for c in self.exact)
+        self.ints = np.array([c.numerator for c in self.exact], object) if integral else None
         # with every difference in [2^-r, 2^r], a table entry or partial
         # product lies within 2^(+-r degree/2) and a term within a further
         # factor |coef|: all stay between 2^-1000 and 2^1000
@@ -332,18 +337,21 @@ class Compiled:
         import mpmath
 
         with mpmath.workdps(dps):
-            x = self._read(values, _mpf)
+            x = self._read(values, to_mpf)
             d = [x[b] - x[a] for a, b in self.index]
             self._check(d)
-            coef = np.array([mpmath.mpf(c.numerator) / c.denominator for c in self.exact], object)
+            coef = self.ints
+            if coef is None:
+                coef = np.array(list(map(to_mpf, self.exact)), object)
             terms = self._products(np.array(d, object), coef)
             return [mpmath.fsum(terms[a:b]) for a, b in self.spans]
 
 
-def _mpf(v):
+def to_mpf(v):
     """v as an mpf at the working precision: an mpf as it is, a rational
     (int, Fraction, numpy integer) as numerator over denominator, anything
-    else through float, since mpf refuses numpy floats other than float64."""
+    else through float, since mpf refuses numpy floats other than float64.
+    Every `dps` route reads its caller's numbers through this."""
     import mpmath
 
     if isinstance(v, mpmath.mpf):
@@ -367,9 +375,3 @@ def evaluate(c: MonomialCombo, values, dps: int | None = None):
     (value,) = _compiled(c).sums(values, dps)
     return value
 
-
-def condition(c: MonomialCombo, values) -> float:
-    """Summation condition number sum|t_i| / |sum t_i| of c at values, in
-    float: the factor by which the sum can amplify the terms' rounding."""
-    (cond,) = _compiled(c).conditions(values)
-    return cond

@@ -29,7 +29,8 @@ Its boundary values sn and 1/dn are theta-series quotients (DLMF 20.2,
 22.2), computed by one routine, `_mp_boundary_map`, through
 `mpmath.jtheta`: at `dps` digits when `dps` is set, and otherwise at
 `_MAP_DPS` digits with each raw image rounded once to float before the
-Moebius step.  A mark at a corner skips the series: sn(-+K) = -+1 and
+Moebius step.  It reads the aspect ratio and the marks exactly, through
+`coulomb.to_mpf`.  A mark at a corner skips the series: sn(-+K) = -+1 and
 sn(+-K + iK') = +-1/k, and y_2, at the origin, is exactly -1.  The
 corner cross-ratio q(L) = lambda(iL) is a float theta quotient (DLMF
 23.15), and it is all the four marks of `RectanglePolygon.corners` need:
@@ -256,6 +257,7 @@ def cross_ratio_rectangle(L: float) -> float:
     the nome e^(-pi a) <= e^(-pi) the terms past n = 3 lie below 2^-53 of
     the leading one; they are kept so that q is the five-term series'
     float, operation for operation, at every ratio."""
+    L = float(L)  # a numpy float32 would keep the series in float32
     if not 0.0 < L < math.inf:
         raise ValueError("ratio must be positive and finite")
     a = L if L >= 1.0 else 1.0 / L
@@ -295,22 +297,24 @@ def _mp_boundary_map(L: float):
     at q = e^(-pi L/2), after Jacobi's imaginary transformation (DLMF
     20.7.30, 22.6.iv): sn = c th1(i pi t/2)/(i th2(i pi t/2)) and 1/dn =
     c th4(pi v/2)/th3(pi v/2), with c = th3/th4.  Either way c^2 = 1/k
-    and q <= e^(-pi).  A mark at a corner's arc length, as `_corner_marks`
-    writes it, maps to its exact image -1/k, -1, 1 or 1/k without a
-    series.  The images are mpf: the bottom edge midpoint maps to 0 and
-    the top edge midpoint, where the map wraps through infinity, to +inf."""
+    and q <= e^(-pi).  L and each mark are read by `coulomb.to_mpf`, so
+    an int, Fraction or numpy number counts at its exact value.  A mark at
+    a corner's arc length, as `_corner_marks` writes it, maps to its exact
+    image -1/k, -1, 1 or 1/k without a series.  The images are mpf: the
+    bottom edge midpoint maps to 0 and the top edge midpoint, where the
+    map wraps through infinity, to +inf."""
     import mpmath
     from mpmath import jtheta, mpf, pi
 
-    marks = _corner_marks(L)
-    L = mpf(L)
+    marks = map(coulomb.to_mpf, _corner_marks(L))
+    L = coulomb.to_mpf(L)
     wide = L > 2
     q = mpmath.exp(-pi * (L / 2 if wide else 2 / L))
     c = jtheta(3, 0, q) / jtheta(4 if wide else 2, 0, q)  # c^2 = 1/k
-    corners = dict(zip(marks, (-c * c, mpf(-1), mpf(1), c * c)))  # an mpf hashes as its float
+    corners = dict(zip(marks, (-c * c, mpf(-1), mpf(1), c * c)))
 
     def image(s):
-        s = mpf(s) % (2 * L + 2)
+        s = coulomb.to_mpf(s) % (2 * L + 2)
         w = corners.get(s)
         if w is not None:
             return w
@@ -374,12 +378,9 @@ def rect_boundary_to_halfplane(R: RectanglePolygon, dps: int | None = None) -> t
         return (0.0, eps, 1.0, 2.0)
     import mpmath
 
-    if dps is not None:
-        with mpmath.workdps(dps):
-            return _normalized(R, _mp_boundary_map(R.L))
-    with mpmath.workdps(_MAP_DPS):  # float(s): mpf refuses a numpy float32
-        image = _mp_boundary_map(float(R.L))
-        return _normalized(R, lambda s: float(image(float(s))))
+    with mpmath.workdps(_MAP_DPS if dps is None else dps):
+        image = _mp_boundary_map(R.L)
+        return _normalized(R, image if dps is not None else lambda s: float(image(s)))
 
 
 def _normalized(R: RectanglePolygon, image) -> tuple:

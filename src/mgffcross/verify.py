@@ -25,7 +25,7 @@ from .combinat import (
     enumerate_link_patterns,
     enumerate_pairings,
 )
-from .coulomb import MonomialCombo
+from .coulomb import MonomialCombo, to_mpf
 from .partition_fn import CONSTANTS, point_values
 
 
@@ -132,16 +132,15 @@ def mobius_covariance_check(
         if xs[0] <= pole <= xs[-1]:
             raise ValueError("Moebius pole inside the configuration")
     with mpmath.workdps(dps):
-        am, bm, cm, dm = (mpmath.mpf(t) for t in (a, b, c, d))
+        am, bm, cm, dm = map(to_mpf, abcd)
         detm = am * dm - bm * cm
         mapped = {}
         jac = mpmath.mpf(1)
         for idx, (lab, v) in enumerate(sorted(xd.items())):
-            vm = mpmath.mpf(v)
+            vm = to_mpf(v)
             mapped[lab] = (am * vm + bm) / (cm * vm + dm)
             dphi = detm / (cm * vm + dm) ** 2
-            w = weights[idx]
-            jac *= dphi ** (mpmath.mpf(w.numerator) / w.denominator)
+            jac *= dphi ** to_mpf(weights[idx])
         lhs = coulomb.evaluate(f, xd, dps=dps)
         rhs = jac * coulomb.evaluate(f, mapped, dps=dps)
         return float(abs(lhs - rhs) / abs(lhs))
@@ -165,27 +164,21 @@ def asymptotics_check(
     n2 = 2 * a.n
     if x is None:
         x = tuple(float(t) for t in range(1, n2))  # collapsed configuration
-    xd = dict(enumerate(point_values(n2 - 1, x), 1))
+    xs = point_values(n2 - 1, x)
     linked = (j, j + 1) in a.links
     r = Fraction(-1, 2) if linked else Fraction(1, 2)
     fused = partition_fn.fuse_once(a, j)
     with mpmath.workdps(dps):
-        exact = coulomb.evaluate(fused, xd, dps=dps)
+        exact = coulomb.evaluate(fused, xs, dps=dps)
         z = partition_fn.pure_partition(a)
         vals = []
+        xm = list(map(to_mpf, xs))
         for eps in gaps:
-            em = mpmath.mpf(eps)
-            pt = {}
-            for lab in range(1, n2 + 1):
-                if lab <= j:
-                    pt[lab] = mpmath.mpf(xd[lab])
-                elif lab == j + 1:
-                    pt[lab] = mpmath.mpf(xd[j]) + em
-                else:
-                    pt[lab] = mpmath.mpf(xd[lab - 1])
-            raw = coulomb.evaluate(z, pt, dps=dps)
-            vals.append(raw / em ** (mpmath.mpf(r.numerator) / r.denominator))
-        e1, e2 = mpmath.mpf(gaps[-2]), mpmath.mpf(gaps[-1])
+            em = to_mpf(eps)
+            # x_(j+1) = x_j + eps, and the points past it move up one label
+            raw = coulomb.evaluate(z, xm[:j] + [xm[j - 1] + em] + xm[j:], dps=dps)
+            vals.append(raw / em ** to_mpf(r))
+        e1, e2 = to_mpf(gaps[-2]), to_mpf(gaps[-1])
         extrap = (e1 * vals[-1] - e2 * vals[-2]) / (e1 - e2)
         rel = float(abs(extrap - exact) / abs(exact))
     return {

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from mgffcross import incidence, partition_fn, probability
 from mgffcross.combinat import enumerate_link_patterns, enumerate_pairings, tau
-from mgffcross.coulomb import Compiled, MonomialCombo, condition, evaluate
+from mgffcross.coulomb import Compiled, MonomialCombo, evaluate
 from oracles import (
     SERIES_ORDER_CAP,
     DivergenceError,
@@ -105,10 +105,10 @@ def test_integer_powers_of_mixed_sign_bases_against_direct_product():
 def test_condition_number():
     x = {1: 0.0, 2: 1.0, 3: 3.0}
     f = _m(2, {(1, 2): F(1, 2), (2, 3): F(-1)})
-    assert condition(f, x) == 1.0
+    assert Compiled((f,)).conditions(x) == [1.0]
     g = f + _m(-1, {(1, 3): F(1, 2)})  # the terms 1 and -sqrt(3)
     want = (1 + math.sqrt(3)) / (math.sqrt(3) - 1)
-    assert condition(g, x) == pytest.approx(want, rel=1e-12)
+    assert Compiled((g,)).conditions(x)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_table_of_combos_gives_each_combo_its_own_bits():
@@ -129,7 +129,7 @@ def test_table_of_combos_gives_each_combo_its_own_bits():
     alone = [MonomialCombo(dict(c.terms)) for c in combos]
     assert table.sums(x) == [evaluate(c, x) for c in alone]
     assert table.sums(x, dps=30) == [evaluate(c, x, dps=30) for c in alone]
-    assert table.conditions(x)[:2] == [condition(c, x) for c in alone[:2]]
+    assert table.conditions(x)[:2] == [Compiled((c,)).conditions(x)[0] for c in alone[:2]]
     assert table.conditions(x)[2] == math.inf
     # the table checks every pair any combo uses: f alone is defined here
     below = {1: 0.3, 2: 1.7, 3: 2.2, 4: 0.1}
@@ -200,7 +200,7 @@ def test_combos_sharing_keys_keep_their_bits_in_both_routes():
     x = {1: 0.3, 2: 1.7, 3: 2.2, 4: 5.1}
     alone = [MonomialCombo(dict(c.terms)) for c in combos]
     assert table.sums(x) == [evaluate(c, x) for c in alone]
-    assert table.conditions(x) == [condition(c, x) for c in alone]
+    assert table.conditions(x) == [Compiled((c,)).conditions(x)[0] for c in alone]
     want = [evaluate(c, x, dps=50) for c in alone]
     assert table.sums(x, dps=50) == want
     assert all(math.isclose(w, v, rel_tol=1e-13) for w, v in zip(want, table.sums(x)))
@@ -303,7 +303,7 @@ def test_mixed_sign_integer_powers_evaluate_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert evaluate(c, x) == pytest.approx(want, rel=1e-15)
-        assert math.isfinite(condition(c, x))
+        assert math.isfinite(Compiled((c,)).conditions(x)[0])
 
 
 @pytest.mark.parametrize("npoints", [4, 6])
@@ -321,7 +321,7 @@ def test_float_route_within_condition_bound_of_mpmath(npoints):
         for c in combos:
             exact = evaluate(c, x, dps=50)
             err = abs(evaluate(c, x) - exact) / abs(exact)
-            assert err <= condition(c, x) * 2.0**-53 * 8
+            assert err <= Compiled((c,)).conditions(x)[0] * 2.0**-53 * 8
 
 
 def test_rename_orientation_rules():

@@ -182,11 +182,13 @@ def per_combo(npoints):
         for p in enumerate_link_patterns((2,) * npoints)
     ]
 
+    tables = [coulomb.Compiled((c,)) for c in nums if c is not None]
+
     def at(y):
         ys = {i + 1: v for i, v in enumerate(y)}
         den = coulomb.evaluate(total, ys)
         probs = tuple(0.0 if c is None else float(coulomb.evaluate(c, ys) / den) for c in nums)
-        return probs, max(coulomb.condition(c, ys) for c in nums if c is not None)
+        return probs, max(t.conditions(ys)[0] for t in tables)
 
     return at
 
@@ -336,6 +338,47 @@ def test_dps_reads_rational_and_numpy_integer_points_exactly():
     table = probability._model(4).table
     ints = (0, 1, 3, 2**53 + 1)
     assert table.sums(tuple(map(np.int64, ints)), dps=40) == table.sums(ints, dps=40)
+
+
+# every dps entry reads these number types exactly; the float route reads
+# them at the float of their value
+NUMBER_TYPES = [float, int, F, np.float32, np.float64, mpmath.mpf]
+TYPE_IDS = ["float", "int", "Fraction", "float32", "float64", "mpf"]
+
+
+@pytest.mark.parametrize("num", NUMBER_TYPES, ids=TYPE_IDS)
+@pytest.mark.parametrize("y", [(0, 1, 3, 4), (0, 1, 3, 4, 6, 9)])
+def test_distribution_reads_every_number_type(num, y):
+    # integer-valued points, exact in every type: the same answers as floats
+    for dps in (None, 30):
+        got = outcome_distribution(len(y), tuple(map(num, y)), dps=dps)
+        assert got.probs == outcome_distribution(len(y), tuple(map(float, y)), dps=dps).probs
+
+
+@pytest.mark.parametrize("num", NUMBER_TYPES, ids=TYPE_IDS)
+@pytest.mark.parametrize(
+    "L, marks",
+    [(2, (5, 0, 2, 3)), (4, (9, 0, 1, 3, 6, 8))],
+    ids=["corners", "six-marks"],
+)
+def test_rectangle_reads_every_number_type(num, L, marks):
+    # the same images, equal mpfs at dps, and the same floats without it
+    R = RectanglePolygon(num(L), tuple(map(num, marks)))
+    ref = RectanglePolygon(float(L), tuple(map(float, marks)))
+    for dps in (None, 30):
+        assert rect_boundary_to_halfplane(R, dps) == rect_boundary_to_halfplane(ref, dps)
+        assert rectangle_distribution(R, dps).probs == rectangle_distribution(ref, dps).probs
+
+
+def test_rational_rectangle_is_read_exactly():
+    # marks no float holds: the dps images are those of the exact rationals,
+    # and the float images their nearest floats
+    R = RectanglePolygon(F(2), (F(26, 5), 0, F(7, 10), 2, 3, F(39, 10)))
+    exact = rect_boundary_to_halfplane(R, 40)
+    rounded = RectanglePolygon(2.0, tuple(map(float, R.marks)))
+    assert exact != rect_boundary_to_halfplane(rounded, 40)
+    assert rect_boundary_to_halfplane(R) == tuple(map(float, exact))
+    assert rectangle_distribution(R, dps=30).probs == pytest.approx(rectangle_distribution(R).probs, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

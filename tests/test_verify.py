@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
 from mgffcross import partition_fn
@@ -146,6 +148,33 @@ def test_asymptotics_custom_configuration():
     assert rep["rel_error"] < 1e-6
     with pytest.raises(ValueError):
         asymptotics_check(ZIGZAG, 3, x=(0.0, 1.3))
+
+
+# ---------------------------------------------------------------------------
+# number types
+
+
+NUMBER_TYPES = [float, int, Fraction, np.float32, np.float64, mpmath.mpf]
+TYPE_IDS = ["float", "int", "Fraction", "float32", "float64", "mpf"]
+
+
+@pytest.mark.parametrize("num", NUMBER_TYPES, ids=TYPE_IDS)
+def test_covariance_reads_every_number_type(num):
+    # integer-valued points and map, exact in every type: the float answer
+    f = partition_fn.pure_partition(RAINBOW)
+    w = uniform_weights(4, CONSTANTS.h)
+    x, abcd = (1, 2, 4, 7), (2, 1, 1, 3)
+    want = mobius_covariance_check(f, w, tuple(map(float, x)), tuple(map(float, abcd)))
+    assert mobius_covariance_check(f, w, tuple(map(num, x)), tuple(map(num, abcd))) == want
+
+
+@pytest.mark.parametrize("num", NUMBER_TYPES, ids=TYPE_IDS)
+def test_asymptotics_reads_every_number_type(num):
+    # points and gaps as integers: the limit at 1024 and 2048 from the
+    # gaps 16, 4 and 1
+    x, gaps = (0, 1024, 2048), (16, 4, 1)
+    want = asymptotics_check(ZIGZAG, 2, tuple(map(float, x)), tuple(map(float, gaps)))
+    assert asymptotics_check(ZIGZAG, 2, tuple(map(num, x)), tuple(map(num, gaps))) == want
 
 
 # ---------------------------------------------------------------------------
