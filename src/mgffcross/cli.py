@@ -181,7 +181,10 @@ def _cmd_enumerate(args) -> int:
 
 
 # `prob` prints no probability whose float sums may be off by more than
-# this, relatively: cond * 2^-53 bounds the rounding of the numerators
+# this, relatively: cond * 2^-53 estimates the rounding of the numerators.
+# It is not a bound: it leaves out each term's own roundings and the
+# summation's, which add up to (roundings per term + terms - 1) * 2^-53
+# times sum|t_i| to first order
 MAX_REL_ERROR = 1e-10
 
 
@@ -203,8 +206,8 @@ def _cmd_prob(args) -> int:
     cond = probability.condition(len(ys), ys)
     if cond * 2.0**-53 > MAX_REL_ERROR:
         raise ArithmeticError(
-            f"cancellation: condition number {cond:.3g} bounds the relative error "
-            f"by {cond * 2.0**-53:.2g}, above {MAX_REL_ERROR:g}"
+            f"cancellation: condition number {cond:.3g} puts the relative error "
+            f"at about {cond * 2.0**-53:.2g}, above {MAX_REL_ERROR:g}"
         )
     if args.json:
         print(json.dumps({**header, "cond": cond, "outcomes": dist.as_json()}, sort_keys=True))

@@ -19,12 +19,14 @@ Evaluation goes through `Compiled`, a table of one or more combos over
 the union of their pairs: one difference per pair, one `pow` per (pair,
 power) factor that some term gathers, a gather, one product in pair
 order per distinct exponent key, one coefficient multiple per term and
-one `math.fsum` per combo; with `dps` set, the same pass in mpf.  The
-float bits are those of this numpy build's `np.power`, which on some
-machines differs from libm `pow` in the last place; so the powers stay
-one array call.  `evaluate` uses the one-combo table cached on a combo;
-a caller that needs several combos at the same point builds one table
-over all of them and gets each combo's bits unchanged.  `to_mpf` is the
+one `np.add.reduceat` that sums each combo's terms; with `dps` set, the
+same pass in mpf.  The float bits are those of this numpy build's
+`np.power`, which on some machines differs from libm `pow` in the last
+place; so the powers stay one array call.  The float sums are not
+correctly rounded, but each combo sums its own terms in an order fixed
+by the combo alone.  `evaluate` uses the one-combo table cached on a
+combo; a caller that needs several combos at the same point builds one
+table over all of them and gets each combo's bits unchanged.  `to_mpf` is the
 one conversion of a caller's number into mpmath, here and in the
 `dps` routes of `probability` and `verify`.
 """
@@ -165,24 +167,28 @@ def collect(items) -> MonomialCombo:
 class Compiled:
     """Combos as one table over the union of their pairs.  Term t is
     coef[t] * prod_j d_j^(e2[k, j]/2) for its key k = key_of[t], and combo
-    i owns the terms spans[i].  Combos share keys (the 6-point table has
-    983 terms over 184 keys, the 8-point one 139,038 over 8,642), so the
-    product of each distinct key is formed once, in pair order, and each
-    term is its key's product times its coefficient: the bits of forming
-    the product per term.  The factors some key gathers are
-    d_base[f]^(e2[f]/2), each computed by one `pow` per evaluation, all in
-    one array call, whose bits are those of this numpy build's
-    `np.power`; slots, a (pairs x keys) array with the keys in first-seen
-    order, holds which factor each key takes in each pair.  The largest
-    table the capacity caps allow, 8 points, gathers 28 x 8,642 factors,
-    1.9 MB, at once.  A pair a
-    combo lacks has e2 = 0 and gathers d^0 = 1.0, an exact factor, so a
-    combo's sums keep their bits in any table that holds it; one combo is
-    the one-span case.  The `dps` route is the same pass over an object
-    array of mpf differences, each span summed by `mpmath.fsum`; it
-    multiplies by the coefficients as Python ints (`ints`) when they are
-    all integers, as at 4, 6 and 8 points, and otherwise by
-    their mpf at the working precision.
+    i owns the terms spans[i], sorted by key.  Combos share keys (the
+    6-point table has 983 terms over 184 keys, the 8-point one 139,038
+    over 8,642), so the product of each distinct key is formed once, in
+    pair order, and each term is its key's product times its coefficient:
+    the bits of forming the product per term.  The factors some key
+    gathers are d_base[f]^(e2[f]/2), each computed by one `pow` per
+    evaluation, all in one array call, whose bits are those of this numpy
+    build's `np.power`; slots, a (pairs x keys) array with the keys in
+    first-seen order, holds which factor each key takes in each pair.  The
+    largest table the capacity caps allow, 8 points, gathers 28 x 8,642
+    factors, 1.9 MB, at once.  A pair a combo lacks has e2 = 0 and gathers
+    d^0 = 1.0, an exact factor.  All spans are summed by one
+    `np.add.reduceat`, whose sum of a segment, its first term plus numpy's
+    pairwise sum of the rest, does not depend on where the segment lies.
+    So a combo's sums keep their bits in any table that holds it, one
+    combo being the one-span case, and with the terms sorted by key equal
+    combos give equal bits whatever order their terms were inserted in.
+    The `dps` route is the same pass over an object array of mpf
+    differences, each span summed by `mpmath.fsum`; it multiplies by the
+    coefficients as Python ints (`ints`) when they are all integers, as at
+    4, 6 and 8 points, and otherwise by their mpf at the working
+    precision.
 
     The float pass converts each variable's value once, a tuple of the
     labels 1..n by one `map`.  It checks the differences and enters
@@ -191,18 +197,26 @@ class Compiled:
     the table can overflow or underflow and every base is positive;
     outside it lie zero and negative bases (the latter only ever raised
     to integer powers) and differences whose powers may leave float
-    range.  Finiteness is checked on each combo's `fsum`,
-    which is non-finite exactly when one of its terms is."""
+    range.  The span sums run under the same `np.errstate`, and finiteness
+    is checked on them: a span's sum is non-finite when one of its terms
+    is, or when it leaves the float range."""
 
     __slots__ = (
         "pairs", "labels", "index", "base", "e2", "power", "odd", "slots", "key_of", "coef",
-        "exact", "ints", "spans", "safe", "dense",
+        "exact", "ints", "spans", "starts", "filled", "safe", "dense",
     )
 
     def __init__(self, combos):
-        terms = [c.terms for c in combos]
+        # each combo's terms in canonical order, sorted by key, so that equal
+        # combos sum the same terms in the same order to the same bits
+        terms = [{key: c.terms[key] for key in sorted(c.terms)} for c in combos]
         ends = list(itertools.accumulate(map(len, terms)))
         self.spans = tuple(zip([0] + ends[:-1], ends))
+        # np.add.reduceat sums from each start to the next, so it reads the
+        # starts of the spans that hold terms; an empty span sums to 0.0
+        filled = [i for i, (a, b) in enumerate(self.spans) if a < b]
+        self.starts = np.array([self.spans[i][0] for i in filled], np.intp)
+        self.filled = None if len(filled) == len(self.spans) else np.array(filled, np.intp)
         self.pairs = tuple(sorted({pair for t in terms for key in t for pair, _ in key}))
         self.labels = tuple(sorted({v for pair in self.pairs for v in pair}))
         at = {v: i for i, v in enumerate(self.labels)}
@@ -212,9 +226,8 @@ class Compiled:
         n = len(self.labels)
         self.dense = n if self.labels == tuple(range(1, n + 1)) else -1
         col = {pair: j for j, pair in enumerate(self.pairs)}
-        # terms in dict order, each pointing at its key's product, the keys
-        # in first-seen order: a product and the exact fsum do not depend
-        # on either order, so equal combos still evaluate to equal bits
+        # each term points at its key's product, the keys in first-seen
+        # order: a key's product does not depend on that order
         first: dict[ExpKey, int] = {}
         self.key_of = np.fromiter(
             (first.setdefault(key, len(first)) for t in terms for key in t), np.intp
@@ -246,7 +259,8 @@ class Compiled:
         self.ints = np.array([c.numerator for c in self.exact], object) if integral else None
         # with every difference in [2^-r, 2^r], a table entry or partial
         # product lies within 2^(+-r degree/2) and a term within a further
-        # factor |coef|: all stay between 2^-1000 and 2^1000
+        # factor |coef|: all stay between 2^-1000 and 2^1000, and a span
+        # sum of fewer than 2^23 terms stays finite
         scale = float(np.abs(np.log2(np.abs(self.coef))).max(initial=0.0))
         r = (1000.0 - scale) / max(degree, 1) if scale < 1000.0 else 0.0
         self.safe = (2.0**-r, 2.0**r)
@@ -277,22 +291,25 @@ class Compiled:
             if d[j] < 0:
                 raise ValueError(f"negative base for half-integer power on pair {self.pairs[j]}")
 
-    def float_terms(self, values) -> np.ndarray:
-        """Every term's float value at x = values.  A tuple of exactly the
-        labels 1..n is read by one `map`; other values go through `_read`."""
+    def _float_pass(self, values, finish) -> list:
+        """finish(terms) of every term's float value at x = values.  A tuple
+        of exactly the labels 1..n is read by one `map`; other values go
+        through `_read`."""
         if type(values) is tuple and len(values) == self.dense:
             x = list(map(float, values))
         else:
             x = self._read(values, float)
         d = [x[b] - x[a] for a, b in self.index]
         lo, hi = self.safe
-        # within safe every difference is positive, so the checks pass
+        # within safe every difference is positive, so the checks pass, and
+        # every term and span sum is finite
         if d and lo <= min(d) and max(d) <= hi:
-            return self._products(np.array(d), self.coef)
+            return finish(self._products(np.array(d), self.coef))
         self._check(d)
-        # a term that overflows fails the finiteness check of the sums
+        # a term that overflows, and inf - inf within a span, fail the
+        # finiteness check of the sums
         with np.errstate(all="ignore"):
-            return self._products(np.array(d), self.coef)
+            return finish(self._products(np.array(d), self.coef))
 
     def _products(self, d: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """Every term at differences d: floats, or mpf in an object array."""
@@ -303,33 +320,35 @@ class Compiled:
         terms *= coef
         return terms
 
-    def _fsums(self, terms: np.ndarray) -> list:
-        """Each span's `math.fsum`; OverflowError when one is not finite,
-        which is when one of its terms is not."""
-        terms = memoryview(terms)  # floats made one at a time, not as one list
-        try:
-            out = [math.fsum(terms[a:b]) for a, b in self.spans]
-            if all(map(math.isfinite, out)):
-                return out
-        except ValueError:  # inf - inf within a span
-            pass
+    def _reduce(self, terms: np.ndarray) -> list:
+        """Each span's float sum of terms, by one `np.add.reduceat`;
+        OverflowError when one is not finite, which is when one of its
+        terms is not or the sum leaves the float range."""
+        out = np.add.reduceat(terms, self.starts)
+        if self.filled is not None:
+            out, sums = np.zeros(len(self.spans)), out
+            out[self.filled] = sums
+        out = out.tolist()
+        if all(map(math.isfinite, out)):
+            return out
         raise OverflowError("a term leaves the float range")
 
+    def _conditions(self, terms: np.ndarray) -> list[float]:
+        return [
+            size / abs(s) if s else math.inf
+            for s, size in zip(self._reduce(terms), self._reduce(np.abs(terms)))
+        ]
+
     def sums(self, values, dps: int | None = None) -> list:
-        """Each combo's value at x = values: floats summed by `math.fsum`,
-        or mpf with dps set."""
+        """Each combo's value at x = values: floats summed span by span in
+        `_reduce`, or mpf with dps set."""
         if dps is not None:
             return self.mp_sums(values, dps)
-        return self._fsums(self.float_terms(values))
+        return self._float_pass(values, self._reduce)
 
     def conditions(self, values) -> list[float]:
         """Each combo's summation condition number sum|t_i| / |sum t_i|."""
-        terms = self.float_terms(values)
-        size = memoryview(np.abs(terms))
-        return [
-            math.fsum(size[a:b]) / abs(s) if s else math.inf
-            for s, (a, b) in zip(self._fsums(terms), self.spans)
-        ]
+        return self._float_pass(values, self._conditions)
 
     def mp_sums(self, values, dps: int) -> list:
         """Each combo's mpf value at dps digits: the float pass's products

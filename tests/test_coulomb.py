@@ -171,7 +171,8 @@ def test_table_computes_only_the_factors_it_gathers(npoints, factors):
 def test_table_forms_one_product_per_distinct_key(npoints, terms, keys):
     table = probability._model(npoints).table
     combos = [partition_fn.z_mgff_total(npoints), *_numerators(npoints)]
-    in_order = [key for c in combos for key in c.terms]
+    # each combo's terms in canonical order, sorted by key
+    in_order = [key for c in combos for key in sorted(c.terms)]
     assert len(table.key_of) == len(table.coef) == len(in_order) == terms
     assert table.slots.shape == (len(table.pairs), keys)
     # the keys in first-seen order, each term pointing at its own
@@ -204,6 +205,77 @@ def test_combos_sharing_keys_keep_their_bits_in_both_routes():
     want = [evaluate(c, x, dps=50) for c in alone]
     assert table.sums(x, dps=50) == want
     assert all(math.isclose(w, v, rel_tol=1e-13) for w, v in zip(want, table.sums(x)))
+
+
+def test_equal_combos_inserted_in_any_order_give_equal_bits():
+    # each combo sums its terms sorted by key, so the order its terms were
+    # inserted in does not reach the float sums, alone or in one table
+    rng = np.random.default_rng(11)
+    combos = _numerators(6)[:4]
+    shuffled = []
+    for c in combos:
+        items = list(c.terms.items())
+        shuffled.append(MonomialCombo(dict(items[i] for i in rng.permutation(len(items)))))
+    assert shuffled == combos
+    assert all(list(s.terms) != list(c.terms) for s, c in zip(shuffled, combos))
+    table = Compiled((*combos, *shuffled))
+    for _ in range(20):
+        y = tuple(np.sort(rng.uniform(-2.0, 6.0, 6)).tolist())
+        alone = [evaluate(c, y) for c in combos]
+        assert [evaluate(s, y) for s in shuffled] == alone
+        assert table.sums(y) == alone + alone
+        assert table.conditions(y)[:4] == table.conditions(y)[4:]
+
+
+def test_zero_combos_sum_to_zero_between_and_after_other_combos():
+    f = _m(F(2, 3), {(1, 2): F(-1, 2), (2, 3): F(1, 2)}) + _m(F(-1, 7), {(1, 3): F(3)})
+    g = _m(3, {(2, 4): F(1)})
+    zero = MonomialCombo.zero()
+    x = {1: 0.3, 2: 1.7, 3: 2.2, 4: 5.1}
+    table = Compiled((f, zero, zero, g, zero))
+    assert table.sums(x) == [evaluate(f, x), 0.0, 0.0, evaluate(g, x), 0.0]
+    assert table.conditions(x)[1:3] == [math.inf, math.inf]
+    assert table.conditions(x)[4] == math.inf
+    assert Compiled((zero,)).sums(x) == [0.0]
+    assert Compiled((zero, zero)).sums(x, dps=30) == [0, 0]
+
+
+def test_span_with_opposite_infinite_terms_raises_overflow_quietly():
+    # d^-2 of 1e-200 and of 2e-200 both overflow: +inf - inf within one span
+    c = _m(1, {(1, 2): F(-2)}) + _m(-1, {(1, 3): F(-2)})
+    x = {1: 0.0, 2: 1e-200, 3: 2e-200}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for table in (Compiled((c,)), Compiled((_m(1, {(2, 3): F(1)}), c, MonomialCombo.zero()))):
+            with pytest.raises(OverflowError, match="a term leaves the float range"):
+                table.sums(x)
+            with pytest.raises(OverflowError, match="a term leaves the float range"):
+                table.conditions(x)
+
+
+def _roundings(c):
+    """The roundings, in units of 2^-53, of the float term of c that takes
+    most: per factor its difference (|e| times over in the power), its
+    `pow` (up to one ulp, two roundings) and its product; then the
+    coefficient's float and the multiple by it."""
+    return max(sum(abs(e2) / 2 + 3 for _, e2 in key) + 2 for key in c.terms)
+
+
+@pytest.mark.parametrize("npoints, count", [(6, 200), (8, 20)])
+def test_float_sums_within_first_order_bound_of_dps_50(npoints, count):
+    # the summation adds at most span length - 1 roundings to each term's
+    # own: |float - exact| <= (roundings + len - 1) 2^-53 sum|t|, over
+    # seeded configurations with gaps log-uniform in [0.05, 5]
+    table = probability._model(npoints).table
+    combos = [partition_fn.z_mgff_total(npoints), *_numerators(npoints)]
+    steps = [_roundings(c) + len(c) - 1 for c in combos]
+    rng = np.random.default_rng(npoints)
+    for _ in range(count):
+        gaps = np.exp(rng.uniform(math.log(0.05), math.log(5.0), npoints - 1))
+        y = tuple(np.concatenate([rng.uniform(-3.0, 3.0, 1), gaps]).cumsum().tolist())
+        got, cond = table.sums(y), table.conditions(y)
+        for g, w, c, k in zip(got, table.sums(y, dps=50), cond, steps):
+            assert abs(g - float(w)) <= k * 2.0**-53 * c * abs(g)
 
 
 def _within(got, want, rel):
