@@ -202,8 +202,7 @@ def _cmd_prob(args) -> int:
         header = {"points": ys}
         if len(ys) == 4:
             header["q"] = probability.cross_ratio(ys)
-    dist = probability.outcome_distribution(len(ys), ys)
-    cond = probability.condition(len(ys), ys)
+    dist, cond = probability.conditioned_distribution(len(ys), ys)
     if cond * 2.0**-53 > MAX_REL_ERROR:
         raise ArithmeticError(
             f"cancellation: condition number {cond:.3g} puts the relative error "
@@ -251,10 +250,6 @@ def _cmd_simulate(args, argv: list[str]) -> int:
 
     R = probability.RectanglePolygon.corners(L)
     reports = experiment.sweep_mu(R, cfg, mus)
-    # a record of how far the theory column's sums may amplify rounding,
-    # not a guard: MAX_REL_ERROR would refuse L = 0.5 (cond 5e6), which
-    # the acceptance gates simulate
-    theory_cond = probability.condition(R.npoints, probability.rect_boundary_to_halfplane(R))
 
     lines = [f"# manifest: {man_ref}", experiment.CSV_HEADER]
     for mu, rep in zip(mus, reports):
@@ -294,7 +289,7 @@ def _cmd_simulate(args, argv: list[str]) -> int:
             "kernel": kernels.resolve_kernel(cfg.kernel),
             "threads": max(m.threads for rep in reports for m in rep.meshes),
             "cpu_count": os.cpu_count(),
-            "theory_cond": theory_cond,
+            "theory_cond": reports[0].theory_cond,
             "versions": {
                 "numpy": numpy.__version__,
                 "scipy": scipy.__version__,

@@ -19,12 +19,13 @@ Evaluation goes through `Compiled`, a table of one or more combos over
 the union of their pairs: one difference per pair, one `pow` per (pair,
 power) factor that some term gathers, a gather, one product in pair
 order per distinct exponent key, one coefficient multiple per term and
-one `np.add.reduceat` that sums each combo's terms; with `dps` set, the
-same pass in mpf.  The float bits are those of this numpy build's
-`np.power`, which on some machines differs from libm `pow` in the last
-place; so the powers stay one array call.  The float sums are not
-correctly rounded, but each combo sums its own terms in an order fixed
-by the combo alone.  `evaluate` uses the one-combo table cached on a
+one `np.add.reduceat` that sums each combo's terms, and on request a
+second over their absolute values for the condition numbers; with `dps`
+set, the same pass in mpf.  The float bits are those of this numpy
+build's `np.power`, which on some machines differs from libm `pow` in
+the last place; so the powers stay one array call.  The float sums are
+not correctly rounded, but each combo sums its own terms in an order
+fixed by the combo alone.  `evaluate` uses the one-combo table cached on a
 combo; a caller that needs several combos at the same point builds one
 table over all of them and gets each combo's bits unchanged.  `to_mpf` is the
 one conversion of a caller's number into mpmath, here and in the
@@ -199,7 +200,9 @@ class Compiled:
     to integer powers) and differences whose powers may leave float
     range.  The span sums run under the same `np.errstate`, and finiteness
     is checked on them: a span's sum is non-finite when one of its terms
-    is, or when it leaves the float range."""
+    is, or when it leaves the float range.  `sums_and_conditions` also
+    sums |t| over each span in the same pass, for a caller that must know
+    how far the sums amplify rounding; `sums` skips that second reduction."""
 
     __slots__ = (
         "pairs", "labels", "index", "base", "e2", "power", "odd", "slots", "key_of", "coef",
@@ -333,11 +336,9 @@ class Compiled:
             return out
         raise OverflowError("a term leaves the float range")
 
-    def _conditions(self, terms: np.ndarray) -> list[float]:
-        return [
-            size / abs(s) if s else math.inf
-            for s, size in zip(self._reduce(terms), self._reduce(np.abs(terms)))
-        ]
+    def _sums_and_conditions(self, terms: np.ndarray) -> tuple[list, list[float]]:
+        sums, sizes = self._reduce(terms), self._reduce(np.abs(terms))
+        return sums, [size / abs(s) if s else math.inf for s, size in zip(sums, sizes)]
 
     def sums(self, values, dps: int | None = None) -> list:
         """Each combo's value at x = values: floats summed span by span in
@@ -346,9 +347,11 @@ class Compiled:
             return self.mp_sums(values, dps)
         return self._float_pass(values, self._reduce)
 
-    def conditions(self, values) -> list[float]:
-        """Each combo's summation condition number sum|t_i| / |sum t_i|."""
-        return self._float_pass(values, self._conditions)
+    def sums_and_conditions(self, values) -> tuple[list, list[float]]:
+        """From one float pass, each combo's sum, with the bits of `sums`,
+        and its summation condition number sum|t_i| / |sum t_i|, inf for a
+        zero sum; OverflowError also where a sum of |t_i| is not finite."""
+        return self._float_pass(values, self._sums_and_conditions)
 
     def mp_sums(self, values, dps: int) -> list:
         """Each combo's mpf value at dps digits: the float pass's products

@@ -39,7 +39,7 @@ from ..combinat import LinkPattern
 from ..probability import (
     RectanglePolygon,
     cluster_pattern_table,
-    outcome_distribution,
+    conditioned_distribution,
     rect_boundary_to_halfplane,
 )
 from .kernels import pair_bit, percolate_batch, resolve_kernel
@@ -142,6 +142,11 @@ class ExperimentReport:
     patterns: tuple[LinkPattern, ...]
     theory: tuple[float, ...]
     meshes: tuple[MeshResult, ...]
+    # for the manifest, not the outputs: the largest summation condition
+    # number of the theory column's numerators, a record of how far their
+    # sums may amplify rounding, not a guard: `cli.MAX_REL_ERROR` would
+    # refuse L = 0.5 (cond 5e6), which the acceptance gates simulate
+    theory_cond: float = field(compare=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -349,7 +354,7 @@ def run_experiment(R: RectanglePolygon, cfg: SimConfig) -> ExperimentReport:
     # a mesh too coarse for the rectangle is a usage error: raise it
     # before the theory column can fail on the same thin rectangle
     specs = [build_lattice(R, ny) for ny in cfg.meshes]
-    dist = outcome_distribution(npts, rect_boundary_to_halfplane(R))
+    dist, cond = conditioned_distribution(npts, rect_boundary_to_halfplane(R))
     patterns, theory = dist.patterns, dist.probs
     pat_index = {p: i for i, p in enumerate(patterns)}
     table = {
@@ -360,7 +365,7 @@ def run_experiment(R: RectanglePolygon, cfg: SimConfig) -> ExperimentReport:
     results = tuple(
         _run_mesh(spec, cfg, mi, table, len(patterns)) for mi, spec in enumerate(specs)
     )
-    return ExperimentReport(R, cfg, patterns, theory, results)
+    return ExperimentReport(R, cfg, patterns, theory, results, cond)
 
 
 def sweep_mu(R: RectanglePolygon, cfg: SimConfig, mus) -> list[ExperimentReport]:

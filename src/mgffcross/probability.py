@@ -4,10 +4,12 @@ Crossing probabilities of the two-valued boundary structure (sign
 clusters touching prescribed boundary arcs) are ratios
 Zhat_pattern / Z_total in the fused variables, zero for a pattern whose
 slot lift is unreachable from the ground-state pairing.
-`outcome_distribution` and `condition` read one compiled table per point
-count, holding Z_total and every reachable numerator, so one pass
-evaluates a configuration; each probability is the plain float division
-of the two sums, with the bits of evaluating each combo on its own.
+`outcome_distribution` and `conditioned_distribution` read one compiled
+table per point count, holding Z_total and every reachable numerator, so
+one pass evaluates a configuration; each probability is the plain float
+division of the two sums, with the bits of evaluating each combo on its
+own.  `conditioned_distribution` takes the numerators' summation
+condition numbers from the pass that made its probabilities.
 Points come as a sequence or as a mapping labelled 1..npoints, and
 `partition_fn.point_values` checks both the same way before the table
 reads them, unrounded, so mpf points keep their precision under `dps`.
@@ -138,18 +140,26 @@ def outcome_distribution(npoints: int, y, dps: int | None = None) -> OutcomeDist
     return _distribution(npoints, point_values(npoints, y), dps)
 
 
+def conditioned_distribution(npoints: int, y) -> tuple[OutcomeDistribution, float]:
+    """The float `outcome_distribution` at y and the largest summation
+    condition number over its reachable numerators, both from one table
+    pass."""
+    model = _model(npoints)
+    sums, conds = _scale_free(model.table.sums_and_conditions, point_values(npoints, y))
+    return _outcomes(model, sums), max(conds[1:])
+
+
 def _distribution(npoints: int, values, dps: int | None) -> OutcomeDistribution:
     model = _model(npoints)
-    sums = _scale_free(model.table.sums, values, dps)
+    return _outcomes(model, _scale_free(model.table.sums, values, dps))
+
+
+def _outcomes(model: _Model, sums: list) -> OutcomeDistribution:
+    """The distribution of the table's sums: each numerator over Z_total."""
     den = sums[0]
     ratios = [float(num / den) for num in sums]
     ratios[0] = 0.0  # the entry `where` gives an unreachable pattern
     return OutcomeDistribution(model.patterns, tuple(map(ratios.__getitem__, model.where)))
-
-
-def condition(npoints: int, y) -> float:
-    """Largest summation condition number over the reachable numerators at y."""
-    return max(_scale_free(_model(npoints).table.conditions, point_values(npoints, y))[1:])
 
 
 def _centred(xs: tuple) -> tuple:

@@ -11,7 +11,7 @@ import pytest
 import scipy
 
 import mgffcross
-from mgffcross import probability
+from mgffcross import coulomb, probability
 from mgffcross.cli import main
 
 
@@ -115,6 +115,29 @@ def test_prob_json_reports_condition(capsys):
     assert json.loads(out)["cond"] == pytest.approx(5.35, abs=0.01)
     code, out, _ = run_cli(capsys, "prob", "--points", "0", "1", "2", "3")
     assert code == 0 and "cond" not in out
+
+
+def _count_table_passes(monkeypatch) -> list:
+    """A list that grows by one each time a table forms its terms."""
+    calls = []
+    products = coulomb.Compiled._products
+
+    def counted(self, d, coef):
+        calls.append(self)
+        return products(self, d, coef)
+
+    monkeypatch.setattr(coulomb.Compiled, "_products", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv", [("--rectangle", "2"), ("--points", "0", "0.7", "1.5", "2.4", "3.0", "4.1", "--json")]
+)
+def test_prob_forms_the_table_terms_once(monkeypatch, capsys, argv):
+    # the probabilities and the condition number come from one pass
+    calls = _count_table_passes(monkeypatch)
+    code, _, _ = run_cli(capsys, "prob", *argv)
+    assert code == 0 and len(calls) == 1
 
 
 def test_prob_usage_errors(capsys):
@@ -251,7 +274,8 @@ def test_simulate_manifest_records_runtime(tmp_path, capsys):
     assert rt["cpu_count"] == os.cpu_count()
     # the theory column's condition number, at the rectangle's images
     R = probability.RectanglePolygon.corners(man["config"]["L"])
-    assert rt["theory_cond"] == probability.condition(4, probability.rect_boundary_to_halfplane(R))
+    ys = probability.rect_boundary_to_halfplane(R)
+    assert rt["theory_cond"] == probability.conditioned_distribution(4, ys)[1]
     assert rt["theory_cond"] >= 1
     # 150 trials in chunks of 64 make three chunks: never more workers
     assert rt["threads"] == min(os.cpu_count(), 3)
@@ -289,6 +313,14 @@ def test_simulate_mu_sweep(tmp_path, capsys):
     assert "# mu=1.0" in csv and "# mu=1.25" in csv
     obj = json.loads((tmp_path / "sweep.json").read_text())
     assert [r["mu"] for r in obj["reports"]] == [1.0, 1.25]
+
+
+def test_simulate_forms_the_table_terms_once_per_mu(tmp_path, monkeypatch, capsys):
+    # each mu's theory column and the manifest's theory_cond share its pass
+    calls = _count_table_passes(monkeypatch)
+    out = tmp_path / "sweep"
+    code, _, _ = run_cli(capsys, *SIM_ARGS, "--mu", "1.0", "--mu", "1.5", "--out", str(out))
+    assert code == 0 and len(calls) == 2
 
 
 def test_simulate_config_file_and_override(tmp_path, capsys):

@@ -105,10 +105,10 @@ def test_integer_powers_of_mixed_sign_bases_against_direct_product():
 def test_condition_number():
     x = {1: 0.0, 2: 1.0, 3: 3.0}
     f = _m(2, {(1, 2): F(1, 2), (2, 3): F(-1)})
-    assert Compiled((f,)).conditions(x) == [1.0]
+    assert Compiled((f,)).sums_and_conditions(x)[1] == [1.0]
     g = f + _m(-1, {(1, 3): F(1, 2)})  # the terms 1 and -sqrt(3)
     want = (1 + math.sqrt(3)) / (math.sqrt(3) - 1)
-    assert Compiled((g,)).conditions(x)[0] == pytest.approx(want, rel=1e-12)
+    assert Compiled((g,)).sums_and_conditions(x)[1][0] == pytest.approx(want, rel=1e-12)
 
 
 def test_table_of_combos_gives_each_combo_its_own_bits():
@@ -129,8 +129,10 @@ def test_table_of_combos_gives_each_combo_its_own_bits():
     alone = [MonomialCombo(dict(c.terms)) for c in combos]
     assert table.sums(x) == [evaluate(c, x) for c in alone]
     assert table.sums(x, dps=30) == [evaluate(c, x, dps=30) for c in alone]
-    assert table.conditions(x)[:2] == [Compiled((c,)).conditions(x)[0] for c in alone[:2]]
-    assert table.conditions(x)[2] == math.inf
+    assert table.sums_and_conditions(x)[1][:2] == [
+        Compiled((c,)).sums_and_conditions(x)[1][0] for c in alone[:2]
+    ]
+    assert table.sums_and_conditions(x)[1][2] == math.inf
     # the table checks every pair any combo uses: f alone is defined here
     below = {1: 0.3, 2: 1.7, 3: 2.2, 4: 0.1}
     assert math.isfinite(evaluate(alone[0], below))
@@ -201,7 +203,9 @@ def test_combos_sharing_keys_keep_their_bits_in_both_routes():
     x = {1: 0.3, 2: 1.7, 3: 2.2, 4: 5.1}
     alone = [MonomialCombo(dict(c.terms)) for c in combos]
     assert table.sums(x) == [evaluate(c, x) for c in alone]
-    assert table.conditions(x) == [Compiled((c,)).conditions(x)[0] for c in alone]
+    assert table.sums_and_conditions(x)[1] == [
+        Compiled((c,)).sums_and_conditions(x)[1][0] for c in alone
+    ]
     want = [evaluate(c, x, dps=50) for c in alone]
     assert table.sums(x, dps=50) == want
     assert all(math.isclose(w, v, rel_tol=1e-13) for w, v in zip(want, table.sums(x)))
@@ -224,7 +228,7 @@ def test_equal_combos_inserted_in_any_order_give_equal_bits():
         alone = [evaluate(c, y) for c in combos]
         assert [evaluate(s, y) for s in shuffled] == alone
         assert table.sums(y) == alone + alone
-        assert table.conditions(y)[:4] == table.conditions(y)[4:]
+        assert table.sums_and_conditions(y)[1][:4] == table.sums_and_conditions(y)[1][4:]
 
 
 def test_zero_combos_sum_to_zero_between_and_after_other_combos():
@@ -234,8 +238,8 @@ def test_zero_combos_sum_to_zero_between_and_after_other_combos():
     x = {1: 0.3, 2: 1.7, 3: 2.2, 4: 5.1}
     table = Compiled((f, zero, zero, g, zero))
     assert table.sums(x) == [evaluate(f, x), 0.0, 0.0, evaluate(g, x), 0.0]
-    assert table.conditions(x)[1:3] == [math.inf, math.inf]
-    assert table.conditions(x)[4] == math.inf
+    assert table.sums_and_conditions(x)[1][1:3] == [math.inf, math.inf]
+    assert table.sums_and_conditions(x)[1][4] == math.inf
     assert Compiled((zero,)).sums(x) == [0.0]
     assert Compiled((zero, zero)).sums(x, dps=30) == [0, 0]
 
@@ -250,7 +254,7 @@ def test_span_with_opposite_infinite_terms_raises_overflow_quietly():
             with pytest.raises(OverflowError, match="a term leaves the float range"):
                 table.sums(x)
             with pytest.raises(OverflowError, match="a term leaves the float range"):
-                table.conditions(x)
+                table.sums_and_conditions(x)[1]
 
 
 def _roundings(c):
@@ -273,7 +277,7 @@ def test_float_sums_within_first_order_bound_of_dps_50(npoints, count):
     for _ in range(count):
         gaps = np.exp(rng.uniform(math.log(0.05), math.log(5.0), npoints - 1))
         y = tuple(np.concatenate([rng.uniform(-3.0, 3.0, 1), gaps]).cumsum().tolist())
-        got, cond = table.sums(y), table.conditions(y)
+        got, cond = table.sums(y), table.sums_and_conditions(y)[1]
         for g, w, c, k in zip(got, table.sums(y, dps=50), cond, steps):
             assert abs(g - float(w)) <= k * 2.0**-53 * c * abs(g)
 
@@ -309,7 +313,7 @@ def test_dps_half_integer_powers_match_the_per_term_oracle(n):
 def test_empty_table_has_no_sums():
     x = {1: 0.3, 2: 1.7}
     assert Compiled(()).sums(x) == []
-    assert Compiled(()).conditions(x) == []
+    assert Compiled(()).sums_and_conditions(x)[1] == []
 
 
 def test_table_reads_a_sequence_as_labels_from_one():
@@ -317,7 +321,10 @@ def test_table_reads_a_sequence_as_labels_from_one():
     table = Compiled((f,))
     y = (0.3, 1.7, 2.2)
     assert table.sums(y) == table.sums(dict(enumerate(y, 1)))
-    assert table.conditions(list(y)) == table.conditions(dict(enumerate(y, 1)))
+    assert (
+        table.sums_and_conditions(list(y))[1]
+        == table.sums_and_conditions(dict(enumerate(y, 1)))[1]
+    )
     with pytest.raises(ValueError, match="no value for variable 3"):
         table.sums(y[:2])
     with pytest.raises(ValueError, match="no value for variable 0"):
@@ -334,10 +341,10 @@ def test_float_route_reads_every_form_alike():
     f = _m(F(2, 3), {(1, 2): F(-1, 2), (2, 3): F(1, 2)}) + _m(F(-1, 7), {(1, 3): F(3)})
     table = Compiled((f, _m(5, {(1, 2): F(2), (2, 3): F(-1)})))
     y = (0.3, 1.7, 2.2)
-    want, cond = table.sums(y), table.conditions(y)
+    want, cond = table.sums(y), table.sums_and_conditions(y)[1]
     for x in _forms(y):
         assert table.sums(x) == want
-        assert table.conditions(x) == cond
+        assert table.sums_and_conditions(x)[1] == cond
     bad = [
         ((0.3, 0.3, 2.2), r"coincident points for pair \(1, 2\)"),
         ((0.3, 1.7, 1.2), r"negative base for half-integer power on pair \(2, 3\)"),
@@ -348,7 +355,7 @@ def test_float_route_reads_every_form_alike():
             with pytest.raises(ValueError, match=match):
                 table.sums(x)
             with pytest.raises(ValueError, match=match):
-                table.conditions(x)
+                table.sums_and_conditions(x)[1]
 
 
 @pytest.mark.parametrize("spacing", [1e200, 1e-200])
@@ -362,7 +369,7 @@ def test_overflowing_terms_raise_from_sums_and_conditions(spacing):
             with pytest.raises(OverflowError, match="a term leaves the float range"):
                 table.sums(x)
             with pytest.raises(OverflowError, match="a term leaves the float range"):
-                table.conditions(x)
+                table.sums_and_conditions(x)[1]
         # and the distribution rescales them, whatever their form
         assert probability.outcome_distribution(4, x).probs == want
 
@@ -375,7 +382,7 @@ def test_mixed_sign_integer_powers_evaluate_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert evaluate(c, x) == pytest.approx(want, rel=1e-15)
-        assert math.isfinite(Compiled((c,)).conditions(x)[0])
+        assert math.isfinite(Compiled((c,)).sums_and_conditions(x)[1][0])
 
 
 @pytest.mark.parametrize("npoints", [4, 6])
@@ -393,7 +400,7 @@ def test_float_route_within_condition_bound_of_mpmath(npoints):
         for c in combos:
             exact = evaluate(c, x, dps=50)
             err = abs(evaluate(c, x) - exact) / abs(exact)
-            assert err <= Compiled((c,)).conditions(x)[0] * 2.0**-53 * 8
+            assert err <= Compiled((c,)).sums_and_conditions(x)[1][0] * 2.0**-53 * 8
 
 
 def test_rename_orientation_rules():

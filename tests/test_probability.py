@@ -1,5 +1,6 @@
 """Crossing probabilities, rectangle geometry, and the cluster dictionary."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -188,7 +189,7 @@ def per_combo(npoints):
         ys = {i + 1: v for i, v in enumerate(y)}
         den = coulomb.evaluate(total, ys)
         probs = tuple(0.0 if c is None else float(coulomb.evaluate(c, ys) / den) for c in nums)
-        return probs, max(t.conditions(ys)[0] for t in tables)
+        return probs, max(t.sums_and_conditions(ys)[1][0] for t in tables)
 
     return at
 
@@ -198,7 +199,7 @@ def assert_table_bits(npoints, configs):
     for y in configs:
         probs, cond = at(y)
         assert outcome_distribution(npoints, y).probs == probs
-        assert probability.condition(npoints, y) == cond
+        assert probability.conditioned_distribution(npoints, y)[1] == cond
 
 
 def test_table_matches_per_combo_bits_on_rectangles():
@@ -227,6 +228,35 @@ def test_table_matches_per_combo_bits_at_eight_points():
     assert_table_bits(8, [(0.0, 1.0, 2.5, 3.0, 4.2, 5.0, 6.1, 7.7)])
 
 
+def _outcome(call, *args):
+    """call(*args), or the type and message of the error it raises."""
+    try:
+        return call(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("npoints, count", [(2, 30), (4, 60), (6, 60), (8, 15)])
+def test_conditioned_distribution_is_the_outcome_distribution(npoints, count):
+    # one pass gives the bits of `outcome_distribution`, or its error, and
+    # the largest condition of the numerators evaluated one by one at the
+    # points the table read: the `_centred` ones where the raw ones overflow
+    at = per_combo(npoints)
+    rng = random.Random(27 + npoints)
+    for _ in range(count):
+        gaps = [math.exp(rng.uniform(math.log(1e-5), math.log(10.0))) for _ in range(npoints - 1)]
+        y = tuple(itertools.accumulate(gaps, initial=rng.uniform(-3.0, 3.0)))
+        for scale in (1.0, 1e150, 1e-150):
+            ys = tuple(v * scale for v in y)
+            want = _outcome(outcome_distribution, npoints, ys)
+            got = _outcome(probability.conditioned_distribution, npoints, ys)
+            if isinstance(want, OutcomeDistribution):
+                assert got[0].probs == want.probs
+                assert got[1] == probability._scale_free(at, ys)[1]
+            else:
+                assert got == want
+
+
 def test_table_keeps_numerators_bare_and_errors_unchanged():
     # the one table per point count is the only one: no numerator keeps a
     # table of its own, which would double the memory of the 8-point case
@@ -238,13 +268,15 @@ def test_table_keeps_numerators_bare_and_errors_unchanged():
         num._compiled = None  # other tests evaluate the cached combos directly
     y = random_points(6, random.Random(8))
     outcome_distribution(6, y)
-    probability.condition(6, y)
+    probability.conditioned_distribution(6, y)[1]
     assert all(num._compiled is None for num in nums)
     # the point check refuses a mapping before the table reads it
     with pytest.raises(ValueError, match="strictly increasing"):
         outcome_distribution(4, {1: 0.0, 2: 1.0, 3: 1.0, 4: 3.0})
     with pytest.raises(ValueError, match="strictly increasing"):
-        probability.condition(6, {1: 0.0, 2: 1.0, 3: 2.0, 4: 3.0, 5: 4.0, 6: 4.0})
+        probability.conditioned_distribution(
+            6, {1: 0.0, 2: 1.0, 3: 2.0, 4: 3.0, 5: 4.0, 6: 4.0}
+        )[1]
     with pytest.raises(ValueError, match="strictly increasing"):
         outcome_distribution(4, {1: 0.0, 2: 2.0, 3: 1.0, 4: 3.0})
 
@@ -254,8 +286,8 @@ def test_overflowing_points_are_scaled_by_a_power_of_two(spacing):
     y = (0.0, spacing, 2 * spacing, 3 * spacing)
     want = outcome_distribution(4, (0.0, 1.0, 2.0, 3.0)).probs
     assert outcome_distribution(4, y).probs == pytest.approx(want, rel=1e-15, abs=0.0)
-    assert probability.condition(4, y) == pytest.approx(
-        probability.condition(4, (0.0, 1.0, 2.0, 3.0)), rel=1e-15
+    assert probability.conditioned_distribution(4, y)[1] == pytest.approx(
+        probability.conditioned_distribution(4, (0.0, 1.0, 2.0, 3.0))[1], rel=1e-15
     )
     assert cross_ratio(y) == pytest.approx(0.25, rel=1e-15)
 
@@ -265,7 +297,7 @@ def test_points_that_overflow_when_scaled_still_raise():
     with pytest.raises(OverflowError, match="a term leaves the float range"):
         outcome_distribution(4, y)
     with pytest.raises(OverflowError, match="a term leaves the float range"):
-        probability.condition(4, y)
+        probability.conditioned_distribution(4, y)[1]
 
 
 def test_distribution_as_json():
@@ -311,7 +343,9 @@ def test_distribution_rejects_non_finite_or_unordered_points():
         ({1: 0, 2: 1, 3: 2, 4: 3, 7: 9}, "labels"),
     ],
 )
-@pytest.mark.parametrize("call", [outcome_distribution, probability.condition, cross_ratio])
+@pytest.mark.parametrize(
+    "call", [outcome_distribution, probability.conditioned_distribution, cross_ratio]
+)
 def test_entry_points_check_points_alike(call, y, match):
     # a mapping is checked like a sequence, and extra points are refused
     with pytest.raises(ValueError, match=match):
@@ -722,7 +756,8 @@ def test_corner_rectangles_are_right_or_refused():
             got = rectangle_distribution(R).probs
         except ArithmeticError:
             continue
-        if probability.condition(4, rect_boundary_to_halfplane(R)) * 2.0**-53 > MAX_REL_ERROR:
+        cond = probability.conditioned_distribution(4, rect_boundary_to_halfplane(R))[1]
+        if cond * 2.0**-53 > MAX_REL_ERROR:
             continue
         assert got == pytest.approx(_rectangle_closed_forms(L), rel=MAX_REL_ERROR, abs=0.0)
 
