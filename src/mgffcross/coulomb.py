@@ -198,11 +198,12 @@ class Compiled:
     the table can overflow or underflow and every base is positive;
     outside it lie zero and negative bases (the latter only ever raised
     to integer powers) and differences whose powers may leave float
-    range.  The span sums run under the same `np.errstate`, and finiteness
-    is checked on them: a span's sum is non-finite when one of its terms
-    is, or when it leaves the float range.  `sums_and_conditions` also
-    sums |t| over each span in the same pass, for a caller that must know
-    how far the sums amplify rounding; `sums` skips that second reduction."""
+    range.  There the pass runs under `np.errstate(all="raise")`: a term
+    that overflows, or underflows and would drop out of its sum unseen,
+    raises OverflowError, as a non-finite span sum does.
+    `sums_and_conditions` also sums |t| over each span in the same pass,
+    for a caller that must know how far the sums amplify rounding; `sums`
+    skips that second reduction."""
 
     __slots__ = (
         "pairs", "labels", "index", "base", "e2", "power", "odd", "slots", "key_of", "coef",
@@ -309,10 +310,12 @@ class Compiled:
         if d and lo <= min(d) and max(d) <= hi:
             return finish(self._products(np.array(d), self.coef))
         self._check(d)
-        # a term that overflows, and inf - inf within a span, fail the
-        # finiteness check of the sums
-        with np.errstate(all="ignore"):
-            return finish(self._products(np.array(d), self.coef))
+        # a NaN difference passes here and fails the finiteness check
+        try:
+            with np.errstate(all="raise"):
+                return finish(self._products(np.array(d), self.coef))
+        except FloatingPointError:
+            raise OverflowError("a term leaves the float range") from None
 
     def _products(self, d: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """Every term at differences d: floats, or mpf in an object array."""

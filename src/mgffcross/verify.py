@@ -9,7 +9,9 @@ are reported relative to |f| times the natural scale min_gap^(-order),
 so a correct function scores near rounding (~1e-11 or better) while a
 perturbed one scores order one.  Nothing here shares code with the
 symbolic fusion route beyond the evaluator, which is the point: these
-are the cross-checks.
+are the cross-checks.  Every check takes the function under test as its
+first argument, and `run_suite` builds each such function once, so its
+`perturb` corrupts the checked function in every suite.
 """
 
 from __future__ import annotations
@@ -147,6 +149,7 @@ def mobius_covariance_check(
 
 
 def asymptotics_check(
+    z: MonomialCombo,
     a: PairPartition,
     j: int,
     x=None,
@@ -154,9 +157,10 @@ def asymptotics_check(
     dps: int = 40,
 ) -> dict:
     """Compare the symbolic collapse of Z_a at position j against the
-    numerically extrapolated limit of the unfused function.
+    numerically extrapolated limit of z, the function under test in
+    place of Z_a.
 
-    The unfused Z_a is evaluated at x_{j+1} = x_j + eps for the given
+    The unfused z is evaluated at x_{j+1} = x_j + eps for the given
     gaps, normalized by eps^r with the proper collapse order r, and
     Richardson-extrapolated assuming the integer series ladder; the
     result must match the exact fused value.
@@ -170,7 +174,6 @@ def asymptotics_check(
     fused = partition_fn.fuse_once(a, j)
     with mpmath.workdps(dps):
         exact = coulomb.evaluate(fused, xs, dps=dps)
-        z = partition_fn.pure_partition(a)
         vals = []
         xm = list(map(to_mpf, xs))
         for eps in gaps:
@@ -197,14 +200,15 @@ def upper_bound_combo(a: PairPartition) -> MonomialCombo:
     return MonomialCombo.monomial(1, {l: Fraction(-1, 2) for l in a.links})
 
 
-def bounds_check(a: PairPartition, x, slack: float = 1e-12) -> dict:
-    """0 < Z_a(x) <= prod_links (x_b - x_a)^(-1/2), with tiny slack for
-    the configurations where the bound is attained."""
+def bounds_check(z: MonomialCombo, a: PairPartition, x, slack: float = 1e-12) -> dict:
+    """0 < z(x) <= prod_links (x_b - x_a)^(-1/2) over the links of a, for
+    z the function under test in place of Z_a, with tiny slack for the
+    configurations where the bound is attained."""
     xs = point_values(len(x), x)
-    z = coulomb.evaluate(partition_fn.pure_partition(a), xs)
+    v = coulomb.evaluate(z, xs)
     ub = coulomb.evaluate(upper_bound_combo(a), xs)
-    ok = (z > 0.0) and (z <= ub * (1.0 + slack))
-    return {"pairing": a.links, "z": z, "bound": ub, "ok": bool(ok)}
+    ok = (v > 0.0) and (v <= ub * (1.0 + slack))
+    return {"pairing": a.links, "z": v, "bound": ub, "ok": bool(ok)}
 
 
 def perturb_combo(f: MonomialCombo, rel: float) -> MonomialCombo:
@@ -245,16 +249,34 @@ def run_suite(
     configs: int = 3,
 ) -> list[dict]:
     """Run one named check suite; returns a list of check records with
-    fields name, value, tol, ok.  `perturb` != 0 corrupts each checked
-    function first (negative control: checks should then fail).
-    ValueError when there would be nothing to check: fewer than 2 points
-    or fewer than one configuration per function."""
+    fields name, value, tol, ok.  Each checked function is built once:
+    Z_a per pairing, then for `pde` and `cov` alone U_a per pairing (both
+    weight h = 1/4), each fused Zhat_p and Z_total (weight H = 1).
+    `perturb` != 0 corrupts each of them once, so every suite checks the
+    corrupted function (negative control: checks should then fail, but
+    at one link `pde` and `asy` pass, the added term being itself a
+    two-point solution).  ValueError for an unknown suite, fewer than 2
+    points or fewer than one configuration per function."""
     import numpy as np
 
+    if suite not in ("pde", "cov", "asy", "bounds"):
+        raise ValueError(f"unknown suite {suite!r} (use pde, cov, asy or bounds)")
     if npoints < 2:
         raise ValueError(f"need at least 2 points (n >= 1), got {npoints}")
     if configs < 1:
         raise ValueError(f"need at least 1 configuration per function, got {configs}")
+    h, H = CONSTANTS.h, CONSTANTS.H
+    pairings = enumerate_pairings(npoints // 2)
+    # (name, function, weight at every point), the Z_a first as in `pairings`
+    built = [(f"Z{a.links}", partition_fn.pure_partition(a), h) for a in pairings]
+    if suite in ("pde", "cov"):
+        built += [(f"U{a.links}", partition_fn.conformal_block(a), h) for a in pairings]
+        built += [
+            (f"Zhat{p.links}", partition_fn.fused_pure_partition(p), H)
+            for p in enumerate_link_patterns((2,) * npoints)
+        ]
+        built.append(("Ztotal", partition_fn.z_mgff_total(npoints), H))
+    targets = [(name, perturb_combo(f, perturb), w) for name, f, w in built]
     rng = np.random.default_rng(seed)
     checks: list[dict] = []
 
@@ -262,41 +284,18 @@ def run_suite(
         checks.append({"name": name, "value": value, "tol": tol, "ok": bool(value <= tol)})
 
     if suite == "pde":
-        n = npoints // 2
-        order2 = [(f"Z{a.links}", partition_fn.pure_partition(a)) for a in enumerate_pairings(n)]
-        order2 += [(f"U{a.links}", partition_fn.conformal_block(a)) for a in enumerate_pairings(n)]
-        for name, f in order2:
-            g = perturb_combo(f, perturb)
+        for name, g, w in targets:
+            order, residual, tol = (2, pde2_residual, 1e-5) if w == h else (3, pde3_residual, 1e-4)
             for x in _sample_configs(npoints, configs, rng):
                 for j in range(1, npoints + 1):
-                    record(f"pde2 {name} j={j}", pde2_residual(g, x, j), 1e-5)
-        order3 = [
-            (f"Zhat{p.links}", partition_fn.fused_pure_partition(p))
-            for p in enumerate_link_patterns((2,) * npoints)
-        ]
-        order3.append(("Ztotal", partition_fn.z_mgff_total(npoints)))
-        for name, f in order3:
-            g = perturb_combo(f, perturb)
-            for y in _sample_configs(npoints, configs, rng):
-                for j in range(1, npoints + 1):
-                    record(f"pde3 {name} j={j}", pde3_residual(g, y, j), 1e-4)
+                    record(f"pde{order} {name} j={j}", residual(g, x, j), tol)
     elif suite == "cov":
-        n = npoints // 2
-        h, H = (CONSTANTS.h,) * npoints, (CONSTANTS.H,) * npoints
-        targets: list[tuple[str, MonomialCombo, tuple[Fraction, ...]]] = []
-        for a in enumerate_pairings(n):
-            targets.append((f"Z{a.links}", partition_fn.pure_partition(a), h))
-            targets.append((f"U{a.links}", partition_fn.conformal_block(a), h))
-        for p in enumerate_link_patterns((2,) * npoints):
-            targets.append((f"Zhat{p.links}", partition_fn.fused_pure_partition(p), H))
-        targets.append(("Ztotal", partition_fn.z_mgff_total(npoints), H))
         maps = [(1.0, 0.3, 0.0, 1.0), (1.3, 0.0, 0.0, 0.7)]
         for _ in range(20):
             c = float(rng.uniform(0.05, 0.3))
             d = float(rng.uniform(3.0, 6.0))
             maps.append((float(rng.uniform(0.5, 2.0)), float(rng.uniform(-0.5, 0.5)), c, d))
-        for name, f, w in targets:
-            g = perturb_combo(f, perturb)
+        for name, g, w in targets:
             for x in _sample_configs(npoints, configs, rng):
                 for abcd in maps:
                     xs = sorted(x)
@@ -304,24 +303,19 @@ def run_suite(
                         continue
                     record(
                         f"mobius {name} {abcd}",
-                        mobius_covariance_check(g, w, x, abcd),
+                        mobius_covariance_check(g, (w,) * npoints, x, abcd),
                         1e-9,
                     )
     elif suite == "asy":
-        n = npoints // 2
-        for a in enumerate_pairings(n):
-            for j in range(1, 2 * n):
-                rep = asymptotics_check(a, j)
-                record(f"asy Z{a.links} j={j} r={rep['order']}", rep["rel_error"], 1e-6)
-    elif suite == "bounds":
-        n = npoints // 2
-        pairings = enumerate_pairings(n)
+        for a, (name, z, _) in zip(pairings, targets):
+            for j in range(1, 2 * a.n):
+                rep = asymptotics_check(z, a, j)
+                record(f"asy {name} j={j} r={rep['order']}", rep["rel_error"], 1e-6)
+    else:
         for x in _sample_configs(npoints, max(configs * 10, 20), rng):
-            for a in pairings:
-                rep = bounds_check(a, x)
+            for a, (name, z, _) in zip(pairings, targets):
+                rep = bounds_check(z, a, x)
                 # the bound is positive, so a failing check has a positive margin
                 margin = 0.0 if rep["ok"] else abs(rep["z"] - rep["bound"])
-                record(f"bound Z{a.links}", margin, 0.0)
-    else:
-        raise ValueError(f"unknown suite {suite!r} (use pde, cov, asy or bounds)")
+                record(f"bound {name}", margin, 0.0)
     return checks

@@ -257,6 +257,21 @@ def test_span_with_opposite_infinite_terms_raises_overflow_quietly():
                 table.sums_and_conditions(x)[1]
 
 
+def test_term_with_an_underflowing_partial_product_raises_overflow_quietly():
+    # d12 d13 / d23 = 2e-200, but its partial product d12 d13 = 2e-400
+    # underflows to 0.0 on the way: refused, not summed as 0.0
+    c = _m(1, {(1, 2): F(1), (1, 3): F(1), (2, 3): F(-1)})
+    x = {1: 0.0, 2: 1e-200, 3: 2e-200}
+    assert evaluate(c, x, dps=30) == pytest.approx(2e-200, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for table in (Compiled((c,)), Compiled((_m(1, {(2, 3): F(1)}), c, MonomialCombo.zero()))):
+            with pytest.raises(OverflowError, match="a term leaves the float range"):
+                table.sums(x)
+            with pytest.raises(OverflowError, match="a term leaves the float range"):
+                table.sums_and_conditions(x)[1]
+
+
 def _roundings(c):
     """The roundings, in units of 2^-53, of the float term of c that takes
     most: per factor its difference (|e| times over in the power), its

@@ -292,6 +292,20 @@ def test_overflowing_points_are_scaled_by_a_power_of_two(spacing):
     assert cross_ratio(y) == pytest.approx(0.25, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "y",
+    [(0.0, 1.0, 2.0, 3.5), (0.0, 0.7, 1.5, 2.4, 3.0, 4.1), (0.0, 0.6, 1.5, 2.3, 3.1, 3.8, 4.9, 5.6)],
+    ids=["4", "6", "8"],
+)
+def test_every_scale_of_the_points_gives_their_distribution(y):
+    # far from 1 some partial products underflow before any overflows; a
+    # lost term must send the points to `_centred`, not into the answer
+    want = outcome_distribution(len(y), y).probs
+    for k in range(-300, 301):
+        got = outcome_distribution(len(y), tuple(v * 10.0**k for v in y)).probs
+        assert got == pytest.approx(want, rel=0.0, abs=1e-13), k
+
+
 def test_points_that_overflow_when_scaled_still_raise():
     y = (0.0, 1e-200, 1e200, 2e200)
     with pytest.raises(OverflowError, match="a term leaves the float range"):
