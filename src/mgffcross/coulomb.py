@@ -17,15 +17,15 @@ as terms in closed form from the inverse-incidence row.
 
 Evaluation goes through `Compiled`, a table of one or more combos over
 the union of their pairs: one difference per pair, one `pow` per (pair,
-power) factor that some term gathers, a gather, one product in pair
-order per distinct exponent key, one coefficient multiple per term and
-one `np.add.reduceat` that sums each combo's terms, and on request a
-second over their absolute values for the condition numbers; with `dps`
-set, the same pass in mpf.  The float bits are those of this numpy
-build's `np.power`, which on some machines differs from libm `pow` in
-the last place; so the powers stay one array call.  The float sums are
-not correctly rounded, but each combo sums its own terms in an order
-fixed by the combo alone.  `evaluate` uses the one-combo table cached on a
+power) factor that some key takes, one `np.multiply.reduceat` that
+multiplies each distinct exponent key's own factors in pair order, one
+coefficient multiple per term and one `np.add.reduceat` that sums each
+combo's terms, and on request a second over their absolute values for
+the condition numbers; with `dps` set, the same pass in mpf.  The float
+bits are those of this numpy build's `np.power`, which on some machines
+differs from libm `pow` in the last place; so the powers stay one array
+call.  The float sums are not correctly rounded, but each combo sums its
+own terms in an order fixed by the combo alone.  `evaluate` uses the one-combo table cached on a
 combo; a caller that needs several combos at the same point builds one
 table over all of them and gets each combo's bits unchanged.  `to_mpf` is the
 one conversion of a caller's number into mpmath, here and in the
@@ -34,6 +34,7 @@ one conversion of a caller's number into mpmath, here and in the
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -167,19 +168,22 @@ def collect(items) -> MonomialCombo:
 
 class Compiled:
     """Combos as one table over the union of their pairs.  Term t is
-    coef[t] * prod_j d_j^(e2[k, j]/2) for its key k = key_of[t], and combo
-    i owns the terms spans[i], sorted by key.  Combos share keys (the
-    6-point table has 983 terms over 184 keys, the 8-point one 139,038
-    over 8,642), so the product of each distinct key is formed once, in
-    pair order, and each term is its key's product times its coefficient:
-    the bits of forming the product per term.  The factors some key
-    gathers are d_base[f]^(e2[f]/2), each computed by one `pow` per
-    evaluation, all in one array call, whose bits are those of this numpy
-    build's `np.power`; slots, a (pairs x keys) array with the keys in
-    first-seen order, holds which factor each key takes in each pair.  The
-    largest table the capacity caps allow, 8 points, gathers 28 x 8,642
-    factors, 1.9 MB, at once.  A pair a combo lacks has e2 = 0 and gathers
-    d^0 = 1.0, an exact factor.  All spans are summed by one
+    coef[t] times the product of its key's factors d_j^(e2/2), key
+    k = key_of[t], and combo i owns the terms spans[i], sorted by key.
+    Combos share keys (the 6-point table has 983 terms over 184 keys, the
+    8-point one 139,038 over 8,642), so the product of each distinct key is
+    formed once, in pair order, and each term is its key's product times
+    its coefficient: the bits of forming the product per term.  The
+    factors some key takes are d_base[f]^(e2[f]/2), each computed by one
+    `pow` per evaluation, all in one array call, whose bits are those of
+    this numpy build's `np.power`.  `flat` lists each key's factors in pair
+    order, the keys one after another in first-seen order from `firsts`
+    on, and one `np.multiply.reduceat` multiplies each key's run of it
+    from left to right.  A pair the key lacks would only multiply in
+    d^0 = 1.0, which changes no bit, so it is left out: the 8-point flat
+    index holds 94,820 factors, 0.72 MB, where a dense (pairs x keys)
+    gather would take 28 x 8,642.  The key (), which takes no factor, has
+    product 1 (`unit`).  All spans are summed by one
     `np.add.reduceat`, whose sum of a segment, its first term plus numpy's
     pairwise sum of the rest, does not depend on where the segment lies.
     So a combo's sums keep their bits in any table that holds it, one
@@ -198,16 +202,17 @@ class Compiled:
     the table can overflow or underflow and every base is positive;
     outside it lie zero and negative bases (the latter only ever raised
     to integer powers) and differences whose powers may leave float
-    range.  There the pass runs under `np.errstate(all="raise")`: a term
-    that overflows, or underflows and would drop out of its sum unseen,
-    raises OverflowError, as a non-finite span sum does.
-    `sums_and_conditions` also sums |t| over each span in the same pass,
-    for a caller that must know how far the sums amplify rounding; `sums`
-    skips that second reduction."""
+    range.  There the products and sums run under
+    `np.errstate(all="raise")` (`_raising`): a term that overflows, or
+    underflows and would drop out of its sum unseen, raises
+    OverflowError, as a non-finite span sum does.  `sums_and_conditions`
+    also sums |t| over each span in the same pass, for a caller that must
+    know how far the sums amplify rounding; `sums` skips that second
+    reduction."""
 
     __slots__ = (
-        "pairs", "labels", "index", "base", "e2", "power", "odd", "slots", "key_of", "coef",
-        "exact", "ints", "spans", "starts", "filled", "safe", "dense",
+        "pairs", "labels", "index", "base", "e2", "power", "odd", "flat", "firsts", "unit",
+        "key_of", "coef", "exact", "ints", "spans", "starts", "filled", "safe", "dense",
     )
 
     def __init__(self, combos):
@@ -231,32 +236,33 @@ class Compiled:
         self.dense = n if self.labels == tuple(range(1, n + 1)) else -1
         col = {pair: j for j, pair in enumerate(self.pairs)}
         # each term points at its key's product, the keys in first-seen
-        # order: a key's product does not depend on that order
-        first: dict[ExpKey, int] = {}
+        # order, which a key's product does not depend on; the key (), which
+        # takes no factor, points at -1: its product 1 is appended last
+        first: dict[ExpKey, int] = {(): -1}
         self.key_of = np.fromiter(
-            (first.setdefault(key, len(first)) for t in terms for key in t), np.intp
+            (first.setdefault(key, len(first) - 1) for t in terms for key in t), np.intp
         )
-        keys = list(first)
-        e2 = np.zeros((len(self.pairs), len(keys)), dtype=np.int64)
-        e2.ravel()[[col[p] * len(keys) + r for r, key in enumerate(keys) for p, _ in key]] = [
-            e for key in keys for _, e in key
-        ]
+        self.unit = -1 in self.key_of
+        keys = list(first)[1:]
+        # every key's (pair, e2) factors in pair order, coded as
+        # pair * width + e2 - low; the codes that occur are the factors
+        pair_of = np.fromiter((col[p] for key in keys for p, _ in key), np.intp)
+        e2 = np.fromiter((e for key in keys for _, e in key), np.int64, len(pair_of))
         low = int(e2.min(initial=0))
         width = int(e2.max(initial=0)) - low + 1
-        # the largest sum of |e2| over a term's pairs
-        degree = int(np.abs(e2).sum(axis=0).max(initial=0))
-        # code each (pair, e2) factor as pair * width + e2 - low, mark the
-        # codes that occur, and point the slots at the used ones in order
-        e2 += width * np.arange(len(self.pairs))[:, None] - low
-        seen = np.zeros(len(self.pairs) * width, dtype=bool)
-        seen[e2] = True
-        used = np.flatnonzero(seen)
+        # where each key's run of factors starts, and the largest sum of
+        # |e2| over a key's pairs
+        self.firsts = np.cumsum([0, *map(len, keys)])[:-1]
+        degree = int(np.add.reduceat(np.abs(e2), self.firsts).max(initial=0))
+        codes = pair_of * width + e2 - low
+        used = np.unique(codes)
         self.base = used // width
         self.e2 = used % width + low
         self.power = self.e2 / 2
         # half-integer powers: a pair with any odd exponent
         self.odd = tuple(sorted(set(self.base[self.e2 % 2 == 1].tolist())))
-        self.slots = np.searchsorted(used, e2)
+        # each key's factors, one key after another
+        self.flat = np.searchsorted(used, codes)
         self.exact = tuple(c for t in terms for c in t.values())
         self.coef = np.fromiter(map(float, self.exact), float, len(self.exact))
         integral = all(c.denominator == 1 for c in self.exact)
@@ -295,10 +301,10 @@ class Compiled:
             if d[j] < 0:
                 raise ValueError(f"negative base for half-integer power on pair {self.pairs[j]}")
 
-    def _float_pass(self, values, finish) -> list:
-        """finish(terms) of every term's float value at x = values.  A tuple
-        of exactly the labels 1..n is read by one `map`; other values go
-        through `_read`."""
+    def _float_differences(self, values) -> tuple[np.ndarray, bool]:
+        """Every pair's float difference at x = values, and whether all lie
+        within safe; outside it, after `_check`.  A tuple of exactly the
+        labels 1..n is read by one `map`; other values go through `_read`."""
         if type(values) is tuple and len(values) == self.dense:
             x = list(map(float, values))
         else:
@@ -308,21 +314,21 @@ class Compiled:
         # within safe every difference is positive, so the checks pass, and
         # every term and span sum is finite
         if d and lo <= min(d) and max(d) <= hi:
-            return finish(self._products(np.array(d), self.coef))
+            return np.array(d), True
         self._check(d)
         # a NaN difference passes here and fails the finiteness check
-        try:
-            with np.errstate(all="raise"):
-                return finish(self._products(np.array(d), self.coef))
-        except FloatingPointError:
-            raise OverflowError("a term leaves the float range") from None
+        return np.array(d), False
 
     def _products(self, d: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """Every term at differences d: floats, or mpf in an object array."""
         pw = np.power(d[self.base], self.power)
-        # each key multiplies its factors in pair order, so equal combos
-        # give equal bits
-        terms = np.multiply.reduce(pw[self.slots])[self.key_of]
+        # each key multiplies its own factors in pair order, so equal combos
+        # give equal bits; the factors d^0 = 1.0 of the pairs it lacks would
+        # change no bit, and are left out
+        products = np.multiply.reduceat(pw[self.flat], self.firsts)
+        if self.unit:
+            products = np.append(products, pw.dtype.type(1))
+        terms = products[self.key_of]
         terms *= coef
         return terms
 
@@ -339,22 +345,26 @@ class Compiled:
             return out
         raise OverflowError("a term leaves the float range")
 
-    def _sums_and_conditions(self, terms: np.ndarray) -> tuple[list, list[float]]:
-        sums, sizes = self._reduce(terms), self._reduce(np.abs(terms))
-        return sums, [size / abs(s) if s else math.inf for s, size in zip(sums, sizes)]
-
     def sums(self, values, dps: int | None = None) -> list:
         """Each combo's value at x = values: floats summed span by span in
         `_reduce`, or mpf with dps set."""
         if dps is not None:
             return self.mp_sums(values, dps)
-        return self._float_pass(values, self._reduce)
+        d, inside = self._float_differences(values)
+        if inside:  # the warm path enters no context manager
+            return self._reduce(self._products(d, self.coef))
+        with _raising():
+            return self._reduce(self._products(d, self.coef))
 
     def sums_and_conditions(self, values) -> tuple[list, list[float]]:
         """From one float pass, each combo's sum, with the bits of `sums`,
         and its summation condition number sum|t_i| / |sum t_i|, inf for a
         zero sum; OverflowError also where a sum of |t_i| is not finite."""
-        return self._float_pass(values, self._sums_and_conditions)
+        d, inside = self._float_differences(values)
+        with contextlib.nullcontext() if inside else _raising():
+            terms = self._products(d, self.coef)
+            sums, sizes = self._reduce(terms), self._reduce(np.abs(terms))
+        return sums, [size / abs(s) if s else math.inf for s, size in zip(sums, sizes)]
 
     def mp_sums(self, values, dps: int) -> list:
         """Each combo's mpf value at dps digits: the float pass's products
@@ -370,6 +380,18 @@ class Compiled:
                 coef = np.array(list(map(to_mpf, self.exact)), object)
             terms = self._products(np.array(d, object), coef)
             return [mpmath.fsum(terms[a:b]) for a, b in self.spans]
+
+
+@contextlib.contextmanager
+def _raising():
+    """numpy raises on every float exception within, as OverflowError: a
+    term or sum that overflows, or underflows and would drop out of its
+    sum unseen."""
+    try:
+        with np.errstate(all="raise"):
+            yield
+    except FloatingPointError:
+        raise OverflowError("a term leaves the float range") from None
 
 
 def to_mpf(v):

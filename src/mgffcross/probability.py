@@ -8,14 +8,18 @@ slot lift is unreachable from the ground-state pairing.
 table per point count, holding Z_total and every reachable numerator, so
 one pass evaluates a configuration; each probability is the plain float
 division of the two sums, with the bits of evaluating each combo on its
-own.  `conditioned_distribution` takes the numerators' summation
-condition numbers from the pass that made its probabilities.
+own.  `_outcomes` divides the sums pattern by pattern, in `where` order,
+into the tuple of entries, and builds the distribution from it after
+`_check_probs`, the one check that `OutcomeDistribution(...)` runs too,
+without the dataclass's `__init__` round trip.
+`conditioned_distribution` takes the numerators' summation condition
+numbers from the pass that made its probabilities.
 Points come as a sequence or as a mapping labelled 1..npoints, and
 `partition_fn.point_values` checks both the same way before the table
 reads them, unrounded, so mpf points keep their precision under `dps`.
 Points whose float terms leave the float range are scaled once by an
 even power of two, which leaves every probability and condition number
-as it is (`_scale_free`).
+as it is (`_scale_free`); other points go to the table directly.
 
 Inputs are validated by builtins over whole tuples (`min`, `max`,
 `sum`, `map`) rather than by generator expressions: marks must lie in
@@ -114,17 +118,7 @@ class OutcomeDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.patterns) != len(self.probs):
-            raise ValueError("length mismatch")
-        probs = self.probs
-        s = sum(probs)
-        # a NaN or an infinity among the entries makes the sum non-finite;
-        # finite entries can only overflow it
-        finite = math.isfinite(s) or all(map(math.isfinite, probs))
-        if not (finite and min(probs, default=0.0) >= 0):
-            raise ArithmeticError(f"negative or non-finite probability in {probs!r}")
-        if abs(s - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {s!r}, not 1")
+        _check_probs(self.patterns, self.probs)
 
     def as_json(self) -> list[dict]:
         return [
@@ -149,17 +143,41 @@ def conditioned_distribution(npoints: int, y) -> tuple[OutcomeDistribution, floa
     return _outcomes(model, sums), max(conds[1:])
 
 
+def _check_probs(patterns: tuple, probs: tuple) -> None:
+    """The checks of every `OutcomeDistribution`: one finite, non-negative
+    entry per pattern, summing to 1 within 1e-12."""
+    if len(patterns) != len(probs):
+        raise ValueError("length mismatch")
+    s = sum(probs)
+    # a NaN or an infinity among the entries makes the sum non-finite;
+    # finite entries can only overflow it
+    finite = math.isfinite(s) or all(map(math.isfinite, probs))
+    if not (finite and min(probs, default=0.0) >= 0):
+        raise ArithmeticError(f"negative or non-finite probability in {probs!r}")
+    if abs(s - 1.0) > 1e-12:
+        raise ValueError(f"probabilities sum to {s!r}, not 1")
+
+
 def _distribution(npoints: int, values, dps: int | None) -> OutcomeDistribution:
     model = _model(npoints)
-    return _outcomes(model, _scale_free(model.table.sums, values, dps))
+    try:
+        sums = model.table.sums(values, dps)
+    except OverflowError:
+        sums = _scale_free(model.table.sums, values, dps)
+    return _outcomes(model, sums)
 
 
 def _outcomes(model: _Model, sums: list) -> OutcomeDistribution:
-    """The distribution of the table's sums: each numerator over Z_total."""
+    """The distribution of the table's sums: each numerator over Z_total,
+    in `where` order, and 0.0 for an unreachable pattern; checked as the
+    constructor checks it, without its round trip through `__init__`."""
     den = sums[0]
-    ratios = [float(num / den) for num in sums]
-    ratios[0] = 0.0  # the entry `where` gives an unreachable pattern
-    return OutcomeDistribution(model.patterns, tuple(map(ratios.__getitem__, model.where)))
+    probs = tuple([float(sums[k] / den) if k else 0.0 for k in model.where])
+    _check_probs(model.patterns, probs)
+    dist = object.__new__(OutcomeDistribution)
+    object.__setattr__(dist, "patterns", model.patterns)
+    object.__setattr__(dist, "probs", probs)
+    return dist
 
 
 def _centred(xs: tuple) -> tuple:

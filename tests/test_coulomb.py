@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction as F
@@ -151,22 +152,23 @@ def _numerators(npoints):
     ]
 
 
-@pytest.mark.parametrize("npoints, factors", [(4, 19), (6, 57), (8, 109)])
-def test_table_computes_only_the_factors_it_gathers(npoints, factors):
+@pytest.mark.parametrize(
+    "npoints, factors, entries", [(4, 14, 26), (6, 43, 1340), (8, 82, 94820)]
+)
+def test_table_computes_only_the_factors_it_gathers(npoints, factors, entries):
     table = probability._model(npoints).table
-    assert len(table.base) == len(table.e2) == factors
-    # each (pair, power) factor some term takes, d^0 of a pair it lacks included
     combos = [partition_fn.z_mgff_total(npoints), *_numerators(npoints)]
+    keys = list(dict.fromkeys(key for c in combos for key in sorted(c.terms)))
     col = {pair: j for j, pair in enumerate(table.pairs)}
-    want = set()
-    for c in combos:
-        for key in c.terms:
-            want.update((col[pair], e2) for pair, e2 in key)
-            if len(key) < len(col):
-                want.update((col[pair], 0) for pair in col.keys() - dict(key).keys())
-    assert sorted(zip(table.base.tolist(), table.e2.tolist())) == sorted(want)
-    gathered = set(np.unique(table.slots).tolist())
-    assert gathered == set(range(factors))
+    # the flat index lists each key's own (pair, power) factors in pair
+    # order, one key after another: no d^0 of a pair the key lacks
+    factor = list(zip(table.base.tolist(), table.e2.tolist()))
+    gathered = [factor[f] for f in table.flat.tolist()]
+    assert gathered == [(col[pair], e2) for key in keys for pair, e2 in key]
+    assert len(gathered) == entries and 0 not in table.e2.tolist()
+    assert table.firsts.tolist() == [0, *itertools.accumulate(map(len, keys[:-1]))]
+    # and the table computes each factor some key gathers, once
+    assert factor == sorted(set(gathered)) and len(factor) == factors
 
 
 @pytest.mark.parametrize("npoints, terms, keys", [(4, 15, 7), (6, 983, 184), (8, 139038, 8642)])
@@ -176,7 +178,7 @@ def test_table_forms_one_product_per_distinct_key(npoints, terms, keys):
     # each combo's terms in canonical order, sorted by key
     in_order = [key for c in combos for key in sorted(c.terms)]
     assert len(table.key_of) == len(table.coef) == len(in_order) == terms
-    assert table.slots.shape == (len(table.pairs), keys)
+    assert len(table.firsts) == keys and not table.unit
     # the keys in first-seen order, each term pointing at its own
     distinct = list(dict.fromkeys(in_order))
     assert len(distinct) == keys
@@ -199,7 +201,9 @@ def test_combos_sharing_keys_keep_their_bits_in_both_routes():
         for order in ([0, 1, 2, 3, 4], [3, 1, 4, 0], [2, 0], [4, 3, 2, 1, 0], [1])
     ]
     table = Compiled(combos)
-    assert len(table.key_of) == 17 and table.slots.shape == (len(table.pairs), 5)
+    # four keys gather 2 + 2 + 3 + 1 factors; the key {} gathers none
+    assert len(table.key_of) == 17 and len(table.firsts) == 4 and len(table.flat) == 8
+    assert table.unit
     x = {1: 0.3, 2: 1.7, 3: 2.2, 4: 5.1}
     alone = [MonomialCombo(dict(c.terms)) for c in combos]
     assert table.sums(x) == [evaluate(c, x) for c in alone]
@@ -209,6 +213,21 @@ def test_combos_sharing_keys_keep_their_bits_in_both_routes():
     want = [evaluate(c, x, dps=50) for c in alone]
     assert table.sums(x, dps=50) == want
     assert all(math.isclose(w, v, rel_tol=1e-13) for w, v in zip(want, table.sums(x)))
+
+
+def test_key_without_factors_has_product_one():
+    # the key {} multiplies no factor: its product is 1 in a table with
+    # pairs and in one without, in float and in mpf
+    f = _m(F(2, 3), {(1, 2): F(-1, 2), (2, 3): F(1, 2)}) + _m(F(-1, 7), {(1, 3): F(3)})
+    x = {1: 0.3, 2: 1.7, 3: 2.2}
+    table = Compiled((f, _m(1, {}), _m(F(-5, 21), {})))
+    assert table.unit and table.sums(x) == [evaluate(f, x), 1.0, float(F(-5, 21))]
+    assert table.sums_and_conditions(x)[1][1:] == [1.0, 1.0]
+    assert table.sums(x, dps=30)[1] == 1
+    bare = Compiled((_m(1, {}),))
+    assert bare.pairs == () and len(bare.flat) == 0
+    for y in (x, {}, ()):
+        assert bare.sums(y) == [1.0] and bare.sums(y, dps=30) == [1]
 
 
 def test_equal_combos_inserted_in_any_order_give_equal_bits():

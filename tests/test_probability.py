@@ -340,6 +340,54 @@ def test_distribution_rejects_non_finite_probability_anywhere(probs):
         OutcomeDistribution(enumerate_link_patterns((2, 2, 2, 2)), probs)
 
 
+class _GivenSums:
+    """A stand-in for a model's table whose sums are given."""
+
+    def __init__(self, sums):
+        self.given = sums
+
+    def sums(self, values, dps=None):
+        return list(self.given)
+
+
+@pytest.mark.parametrize(
+    "sums, error",
+    [
+        ((1.0, 0.5, 0.6, -0.1), ArithmeticError),
+        ((1.0, 0.5, math.nan, 0.5), ArithmeticError),
+        ((1.0, 0.5, 0.25, 0.25 + 1e-9), ValueError),
+        ((1.0, 0.5, 0.25, 0.25 - 1e-9), ValueError),
+    ],
+    ids=["negative", "nan", "over", "under"],
+)
+def test_table_route_keeps_every_distribution_check(monkeypatch, sums, error):
+    # the distribution a table's sums make is checked as the constructor
+    # checks the same entries
+    model = probability._model(4)
+    monkeypatch.setattr(model, "table", _GivenSums(sums))
+    with pytest.raises(error) as table_route:
+        outcome_distribution(4, (0.0, 1.0, 2.0, 3.0))
+    with pytest.raises(error) as constructor:
+        OutcomeDistribution(model.patterns, tuple(s / sums[0] for s in sums[1:]))
+    assert table_route.type is constructor.type is error
+
+
+def test_unreachable_entries_are_positive_zeros(monkeypatch):
+    y = (0.0, 0.7, 1.5, 2.4, 3.0, 4.1)
+    model = probability._model(6)
+    zeros = [i for i, k in enumerate(model.where) if not k]
+    probs = outcome_distribution(6, y).probs
+    assert zeros and all(math.copysign(1.0, probs[i]) == 1.0 for i in zeros)
+    # a negative Z_total and numerators: each ratio is positive, and an
+    # unreachable entry stays +0.0 rather than 0.0 / Z_total = -0.0
+    nums = (-2.0,) * 4 + (-1.0,) * 8
+    assert len(nums) == max(model.where)
+    monkeypatch.setattr(model, "table", _GivenSums((-16.0, *nums)))
+    probs = outcome_distribution(6, y).probs
+    assert probs == tuple(nums[k - 1] / -16.0 if k else 0.0 for k in model.where)
+    assert all(math.copysign(1.0, p) == 1.0 for p in probs)
+
+
 def test_distribution_rejects_non_finite_or_unordered_points():
     for y in [(0.0, math.nan, 2.0, 3.0), (0.0, 1.0, 2.0, math.inf)]:
         with pytest.raises(ValueError, match="finite"):
